@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/assert.hpp"
+#include "common/escape.hpp"
 
 namespace smache {
 
@@ -77,23 +78,13 @@ std::string TextTable::to_ascii() const {
 }
 
 std::string TextTable::to_csv() const {
-  auto quote = [](const std::string& s) {
-    if (s.find_first_of(",\"\n") == std::string::npos) return s;
-    std::string q = "\"";
-    for (char ch : s) {
-      if (ch == '"') q += "\"\"";
-      else q += ch;
-    }
-    q += '"';
-    return q;
-  };
   std::ostringstream out;
   for (std::size_t c = 0; c < headers_.size(); ++c)
-    out << (c ? "," : "") << quote(headers_[c]);
+    out << (c ? "," : "") << csv_quote(headers_[c]);
   out << '\n';
   for (const auto& row : rows_) {
     for (std::size_t c = 0; c < row.size(); ++c)
-      out << (c ? "," : "") << quote(row[c]);
+      out << (c ? "," : "") << csv_quote(row[c]);
     out << '\n';
   }
   return out.str();

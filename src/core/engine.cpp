@@ -32,6 +32,28 @@ grid::Grid<word_t> read_output_grid(const mem::DramModel& dram,
       height, width, depth, layout, std::vector<word_t>(span, span + words));
 }
 
+void require_matching_initial(const ProblemSpec& problem,
+                              const grid::Grid<word_t>& initial) {
+  SMACHE_REQUIRE(initial.height() == problem.height &&
+                 initial.width() == problem.width &&
+                 initial.depth() == problem.depth);
+  SMACHE_REQUIRE_MSG(initial.fields() == problem.kernel.fields(),
+                     "initial grid's cell layout must match the kernel's");
+}
+
+/// The paper's derived Figure-2 metrics: logical tuple elements processed,
+/// execution time at the predicted Fmax, and their ratio.
+void derive_figure2_metrics(const ProblemSpec& problem, RunResult& result) {
+  result.ops = static_cast<std::uint64_t>(problem.cells()) * problem.steps *
+               problem.kernel.ops_per_point(problem.shape.size() *
+                                            problem.kernel.fields());
+  if (result.timing.fmax_mhz > 0.0 && result.cycles > 0) {
+    result.exec_time_us =
+        static_cast<double>(result.cycles) / result.timing.fmax_mhz;
+    result.mops = static_cast<double>(result.ops) / result.exec_time_us;
+  }
+}
+
 /// Internal signal for an expired wall deadline; converted to
 /// engine_timeout (with the partial result attached) by the callers.
 struct wall_expired {};
@@ -101,22 +123,27 @@ model::BufferPlan Engine::plan_only(const ProblemSpec& problem) const {
 
 RunResult Engine::run(const ProblemSpec& problem,
                       const grid::Grid<word_t>& initial) const {
-  SMACHE_REQUIRE(initial.height() == problem.height &&
-                 initial.width() == problem.width &&
-                 initial.depth() == problem.depth);
-  SMACHE_REQUIRE_MSG(initial.fields() == problem.kernel.fields(),
-                     "initial grid's cell layout must match the kernel's");
-  return execute(problem, &initial);
+  return execute(problem, &initial, 0);
 }
 
 RunResult Engine::elaborate_only(const ProblemSpec& problem) const {
-  return execute(problem, nullptr);
+  return execute(problem, nullptr, 0);
+}
+
+RunResult Engine::run_cascade(const ProblemSpec& problem,
+                              const grid::Grid<word_t>& initial,
+                              std::size_t depth) const {
+  SMACHE_REQUIRE_MSG(depth >= 1 && problem.steps % depth == 0,
+                     "steps must be a multiple of the cascade depth");
+  return execute(problem, &initial, depth);
 }
 
 RunResult Engine::execute(const ProblemSpec& problem,
-                          const grid::Grid<word_t>* initial) const {
+                          const grid::Grid<word_t>* initial,
+                          std::size_t cascade_depth) const {
   problem.validate();
-  const std::size_t cells = problem.cells();
+  if (initial != nullptr) require_matching_initial(problem, *initial);
+  const bool cascade = cascade_depth > 0;
   const CellLayout layout{problem.kernel.fields()};
   // Validated against size_t wrap before anything sizes a buffer by it.
   const std::size_t grid_words = grid::Grid<word_t>::checked_words(
@@ -130,7 +157,7 @@ RunResult Engine::execute(const ProblemSpec& problem,
   if (options_.trace) sim.enable_spans();
   mem::DramConfig dcfg = options_.dram;
   if (options_.auto_bus)
-    dcfg.shared_bus = options_.arch == Architecture::Baseline;
+    dcfg.shared_bus = !cascade && options_.arch == Architecture::Baseline;
   mem::DramModel dram(sim, "dram", 2 * grid_words, dcfg);
 
   if (initial != nullptr) {
@@ -140,40 +167,41 @@ RunResult Engine::execute(const ProblemSpec& problem,
   }
 
   RunResult result;
-  result.arch = options_.arch;
+  result.arch = cascade ? Architecture::Smache : options_.arch;
 
-  // Wall-clock watchdog: on expiry, surface the progress made (cycles and
-  // DRAM counters at abort) through the exception's partial result.
-  const WallDeadline deadline(options_.wall_timeout_ms);
-  const auto guarded_run = [&](const auto& top) {
-    try {
-      run_to_completion(sim, top, dram, options_.max_cycles, deadline);
-    } catch (const wall_expired&) {
-      result.cycles = sim.now();
-      result.dram = dram.stats();
-      result.timed_out = true;
-      throw engine_timeout(options_.wall_timeout_ms, std::move(result));
-    }
-  };
-
-  if (options_.arch == Architecture::Smache) {
-    model::BufferPlan plan = plan_only(problem);
-    rtl::SmacheTop top(sim, "smache", plan, problem.kernel, dram,
-                       problem.steps);
-    result.estimate = cost::estimate_memory(
-        plan, static_cast<std::uint32_t>(kWordBits * layout.fields));
-    result.timing = cost::estimate_smache_timing(plan);
+  // Run the elaborated top (when there is input to run on), measure its
+  // ledger subtree and finalise observability — inside the top's lifetime,
+  // because finalisation reads every registered module. The wall-clock
+  // watchdog starts once the top is elaborated; on expiry, surface the
+  // progress made (cycles and DRAM counters at abort) through the
+  // exception's partial result.
+  const auto simulate = [&](const auto& top, const char* root) {
     if (initial != nullptr) {
-      guarded_run(top);
+      const WallDeadline deadline(options_.wall_timeout_ms);
+      try {
+        run_to_completion(sim, top, dram, options_.max_cycles, deadline);
+      } catch (const wall_expired&) {
+        result.cycles = sim.now();
+        result.dram = dram.stats();
+        result.timed_out = true;
+        throw engine_timeout(options_.wall_timeout_ms, std::move(result));
+      }
       result.cycles = sim.now();
-      result.warmup_cycles = top.warmup_end_cycle();
+      if constexpr (requires { top.warmup_end_cycle(); })  // not baseline
+        result.warmup_cycles = top.warmup_end_cycle();
       result.output = read_output_grid(dram, top.output_base(),
                                        problem.height, problem.width,
                                        problem.depth, layout);
     }
-    result.resources = cost::measure_actual(sim.ledger(), "smache");
-    result.plan = std::move(plan);
-  } else {
+    result.resources = cost::measure_actual(sim.ledger(), root);
+    if (options_.profile || options_.trace) {
+      sim.finalize_observability();
+      if (options_.profile) result.metrics = sim.metrics().snapshot();
+      if (options_.trace) result.trace_json = obs::to_trace_json(sim.spans());
+    }
+  };
+
+  if (!cascade && options_.arch == Architecture::Baseline) {
     rtl::BaselineTop top(sim, "baseline", problem.height, problem.width,
                          problem.shape, problem.bc, problem.kernel, dram,
                          problem.steps, problem.depth);
@@ -182,102 +210,28 @@ RunResult Engine::execute(const ProblemSpec& problem,
         grid::CaseMap(problem.height, problem.width, problem.depth,
                       problem.shape)
             .case_count());
-    if (initial != nullptr) {
-      guarded_run(top);
-      result.cycles = sim.now();
-      result.output = read_output_grid(dram, top.output_base(),
-                                       problem.height, problem.width,
-                                       problem.depth, layout);
+    simulate(top, "baseline");
+  } else {
+    model::BufferPlan plan = plan_only(problem);
+    result.estimate = cost::estimate_memory(
+        plan, static_cast<std::uint32_t>(kWordBits * layout.fields));
+    result.timing = cost::estimate_smache_timing(plan);
+    if (cascade) {
+      // The cascade replicates the stream buffer per fused step.
+      result.estimate->r_stream *= cascade_depth;
+      result.estimate->b_stream *= cascade_depth;
+      rtl::CascadeTop top(sim, "cascade", plan, problem.kernel, dram,
+                          cascade_depth, problem.steps / cascade_depth);
+      simulate(top, "cascade");
+    } else {
+      rtl::SmacheTop top(sim, "smache", plan, problem.kernel, dram,
+                         problem.steps);
+      simulate(top, "smache");
     }
-    result.resources = cost::measure_actual(sim.ledger(), "baseline");
-  }
-
-  if (options_.profile || options_.trace) {
-    sim.finalize_observability();
-    if (options_.profile) result.metrics = sim.metrics().snapshot();
-    if (options_.trace) result.trace_json = obs::to_trace_json(sim.spans());
+    result.plan = std::move(plan);
   }
   result.dram = dram.stats();
-  result.ops =
-      static_cast<std::uint64_t>(cells) * problem.steps *
-      problem.kernel.ops_per_point(problem.shape.size() * layout.fields);
-  if (result.timing.fmax_mhz > 0.0 && result.cycles > 0) {
-    result.exec_time_us =
-        static_cast<double>(result.cycles) / result.timing.fmax_mhz;
-    result.mops = static_cast<double>(result.ops) / result.exec_time_us;
-  }
-  return result;
-}
-
-RunResult Engine::run_cascade(const ProblemSpec& problem,
-                              const grid::Grid<word_t>& initial,
-                              std::size_t depth) const {
-  problem.validate();
-  SMACHE_REQUIRE(initial.height() == problem.height &&
-                 initial.width() == problem.width &&
-                 initial.depth() == problem.depth);
-  SMACHE_REQUIRE_MSG(initial.fields() == problem.kernel.fields(),
-                     "initial grid's cell layout must match the kernel's");
-  SMACHE_REQUIRE_MSG(depth >= 1 && problem.steps % depth == 0,
-                     "steps must be a multiple of the cascade depth");
-  const std::size_t cells = problem.cells();
-  const CellLayout layout{problem.kernel.fields()};
-  const std::size_t grid_words = grid::Grid<word_t>::checked_words(
-      problem.height, problem.width, problem.depth, layout.fields);
-  const std::size_t passes = problem.steps / depth;
-
-  sim::Simulator sim;
-  sim.set_force_eval_all(options_.force_eval_all);
-  if (options_.profile) sim.enable_profiling();
-  if (options_.trace) sim.enable_spans();
-  mem::DramConfig dcfg = options_.dram;
-  if (options_.auto_bus) dcfg.shared_bus = false;
-  mem::DramModel dram(sim, "dram", 2 * grid_words, dcfg);
-  const auto words = initial.to_words();
-  for (std::size_t i = 0; i < words.size(); ++i) dram.poke(i, words[i]);
-
-  model::BufferPlan plan = plan_only(problem);
-  rtl::CascadeTop top(sim, "cascade", plan, problem.kernel, dram, depth,
-                      passes);
-
-  RunResult result;
-  result.arch = Architecture::Smache;
-  result.estimate = cost::estimate_memory(
-      plan, static_cast<std::uint32_t>(kWordBits * layout.fields));
-  // The cascade replicates the stream buffer per fused step.
-  result.estimate->r_stream *= depth;
-  result.estimate->b_stream *= depth;
-  result.timing = cost::estimate_smache_timing(plan);
-  const WallDeadline deadline(options_.wall_timeout_ms);
-  try {
-    run_to_completion(sim, top, dram, options_.max_cycles, deadline);
-  } catch (const wall_expired&) {
-    result.cycles = sim.now();
-    result.dram = dram.stats();
-    result.timed_out = true;
-    throw engine_timeout(options_.wall_timeout_ms, std::move(result));
-  }
-  result.cycles = sim.now();
-  result.warmup_cycles = top.warmup_end_cycle();
-  result.output =
-      read_output_grid(dram, top.output_base(), problem.height,
-                       problem.width, problem.depth, layout);
-  if (options_.profile || options_.trace) {
-    sim.finalize_observability();
-    if (options_.profile) result.metrics = sim.metrics().snapshot();
-    if (options_.trace) result.trace_json = obs::to_trace_json(sim.spans());
-  }
-  result.resources = cost::measure_actual(sim.ledger(), "cascade");
-  result.plan = std::move(plan);
-  result.dram = dram.stats();
-  result.ops =
-      static_cast<std::uint64_t>(cells) * problem.steps *
-      problem.kernel.ops_per_point(problem.shape.size() * layout.fields);
-  if (result.timing.fmax_mhz > 0.0 && result.cycles > 0) {
-    result.exec_time_us =
-        static_cast<double>(result.cycles) / result.timing.fmax_mhz;
-    result.mops = static_cast<double>(result.ops) / result.exec_time_us;
-  }
+  derive_figure2_metrics(problem, result);
   return result;
 }
 
@@ -285,16 +239,14 @@ RunResult Engine::run_tiled(const ProblemSpec& problem,
                             const grid::Grid<word_t>& initial,
                             const TilingSpec& tiling) const {
   problem.validate();
-  SMACHE_REQUIRE(initial.height() == problem.height &&
-                 initial.width() == problem.width &&
-                 initial.depth() == problem.depth);
-  SMACHE_REQUIRE_MSG(initial.fields() == problem.kernel.fields(),
-                     "initial grid's cell layout must match the kernel's");
+  require_matching_initial(problem, initial);
   SMACHE_REQUIRE_MSG(tiling.depth >= 1 && problem.steps % tiling.depth == 0,
                      "steps must be a multiple of the tiling depth");
+  // Depth 1 is the per-instance top; deeper tilings run each tile (or the
+  // whole grid, for a 1x1 mesh) as a depth-deep cascade.
+  const std::size_t cascade_depth = tiling.depth > 1 ? tiling.depth : 0;
   if (tiling.tiles_r == 1 && tiling.tiles_c == 1 && tiling.tiles_s == 1)
-    return tiling.depth > 1 ? run_cascade(problem, initial, tiling.depth)
-                            : run(problem, initial);
+    return execute(problem, &initial, cascade_depth);
   SMACHE_REQUIRE_MSG(!options_.trace,
                      "span/trace export is per-simulator; tiled runs do not "
                      "support it (metrics profiling folds fine)");
@@ -325,8 +277,7 @@ RunResult Engine::run_tiled(const ProblemSpec& problem,
       sub.bc = t.sub_bc;
       sub.steps = tiling.depth;
       const grid::Grid<word_t> fed = grid::gather_tile(state, t, problem.bc);
-      tile_runs[i] = tiling.depth > 1 ? run_cascade(sub, fed, tiling.depth)
-                                      : run(sub, fed);
+      tile_runs[i] = execute(sub, &fed, cascade_depth);
       grid::stitch_interior(next, t, tile_runs[i].output.value());
       tile_runs[i].output.reset();  // the stitch consumed it
     });
@@ -342,31 +293,16 @@ RunResult Engine::run_tiled(const ProblemSpec& problem,
       // Counter samples sum across tiles and passes (stall totals over the
       // whole scenario); watermarks keep the max (see merge_samples).
       if (options_.profile) obs::merge_samples(agg.metrics, r.metrics);
-      agg.dram.read_requests += r.dram.read_requests;
-      agg.dram.words_read += r.dram.words_read;
-      agg.dram.words_written += r.dram.words_written;
-      agg.dram.row_hits += r.dram.row_hits;
-      agg.dram.row_misses += r.dram.row_misses;
-      agg.dram.injected_stall_cycles += r.dram.injected_stall_cycles;
-      agg.dram.read_busy_cycles += r.dram.read_busy_cycles;
+      agg.dram += r.dram;
     }
     agg.cycles += pass_cycles;
     if (pass == 0) {
       for (const RunResult& r : tile_runs) {
         agg.warmup_cycles = std::max(agg.warmup_cycles, r.warmup_cycles);
-        agg.resources.r_static += r.resources.r_static;
-        agg.resources.b_static += r.resources.b_static;
-        agg.resources.r_stream += r.resources.r_stream;
-        agg.resources.b_stream += r.resources.b_stream;
-        agg.resources.r_total += r.resources.r_total;
-        agg.resources.b_total += r.resources.b_total;
-        agg.resources.m20k_blocks += r.resources.m20k_blocks;
+        agg.resources += r.resources;
         if (r.estimate) {
           if (!agg.estimate) agg.estimate.emplace();
-          agg.estimate->r_static += r.estimate->r_static;
-          agg.estimate->b_static += r.estimate->b_static;
-          agg.estimate->r_stream += r.estimate->r_stream;
-          agg.estimate->b_stream += r.estimate->b_stream;
+          *agg.estimate += *r.estimate;
         }
         if (agg.timing.fmax_mhz == 0.0 ||
             r.timing.fmax_mhz < agg.timing.fmax_mhz)
@@ -378,24 +314,14 @@ RunResult Engine::run_tiled(const ProblemSpec& problem,
 
   agg.output = std::move(state);
   // Logical work only — the redundant halo compute is a cost, not output.
-  agg.ops = static_cast<std::uint64_t>(problem.cells()) * problem.steps *
-            problem.kernel.ops_per_point(problem.shape.size() *
-                                         problem.kernel.fields());
-  if (agg.timing.fmax_mhz > 0.0 && agg.cycles > 0) {
-    agg.exec_time_us = static_cast<double>(agg.cycles) / agg.timing.fmax_mhz;
-    agg.mops = static_cast<double>(agg.ops) / agg.exec_time_us;
-  }
+  derive_figure2_metrics(problem, agg);
   return agg;
 }
 
 grid::Grid<word_t> reference_run(const ProblemSpec& problem,
                                  const grid::Grid<word_t>& initial) {
   problem.validate();
-  SMACHE_REQUIRE(initial.height() == problem.height &&
-                 initial.width() == problem.width &&
-                 initial.depth() == problem.depth);
-  SMACHE_REQUIRE_MSG(initial.fields() == problem.kernel.fields(),
-                     "initial grid's cell layout must match the kernel's");
+  require_matching_initial(problem, initial);
   const std::size_t fields = problem.kernel.fields();
   const auto kernel = [&](const std::vector<grid::TupleElem>& tuple,
                           word_t* out) {

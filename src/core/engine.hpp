@@ -43,7 +43,8 @@ struct EngineOptions {
   std::uint64_t max_cycles = 200'000'000;
   /// Opt-in wall-clock watchdog (0 = off): abandon a run whose REAL time
   /// exceeds this many milliseconds, throwing engine_timeout with the
-  /// partial result. Unlike max_cycles the trip point is inherently
+  /// partial result. The clock starts at the first simulated cycle, after
+  /// elaboration. Unlike max_cycles the trip point is inherently
   /// nondeterministic — batch drivers must treat a tripped run as
   /// non-reusable (the sweep store never caches one). Each engine
   /// invocation gets its own deadline, so a tiled scenario bounds every
@@ -55,9 +56,9 @@ struct EngineOptions {
   /// and for debugging a suspect quiescence declaration.
   bool force_eval_all = false;
   /// Collect the cycle-attribution profile and stall/occupancy metrics
-  /// into RunResult::metrics. Unlike tracing, profiling does NOT disable
-  /// activity gating — it classifies the gated schedule itself — so the
-  /// simulated results stay bit-identical to an unprofiled run.
+  /// into RunResult::metrics. Profiling does NOT disable activity gating
+  /// — it classifies the gated schedule itself — so the simulated results
+  /// stay bit-identical to an unprofiled run.
   bool profile = false;
   /// Record module-activity and DRAM-transaction spans and export them as
   /// Chrome trace-event JSON in RunResult::trace_json (load in
@@ -188,9 +189,11 @@ class Engine {
   /// The output grid is bit-identical to run()/run_cascade() for any tile
   /// and thread count; unsupported boundary/stencil/depth pairings throw a
   /// descriptive contract_error (never silently diverge). Cycles are
-  /// max-per-pass over tiles (tiles run concurrently); DRAM traffic sums
-  /// every tile-run, charging halo redundancy honestly; resources/timing
-  /// sum/min over the replicated pass-0 datapaths.
+  /// max-per-pass over tiles (tiles run concurrently); every DRAM counter,
+  /// fault counters included, sums over every tile-run, charging halo
+  /// redundancy honestly; resources/timing sum/min over the replicated
+  /// pass-0 datapaths. A 1x1 mesh runs the untiled engine (run() at depth
+  /// 1, run_cascade() deeper), so this is the general entry point.
   RunResult run_tiled(const ProblemSpec& problem,
                       const grid::Grid<word_t>& initial,
                       const TilingSpec& tiling) const;
@@ -200,8 +203,13 @@ class Engine {
   RunResult elaborate_only(const ProblemSpec& problem) const;
 
  private:
+  /// The one simulate path behind every entry point. `cascade_depth` 0
+  /// elaborates the per-instance top of options_.arch; >= 1 elaborates a
+  /// CascadeTop fusing that many steps per DRAM pass. A null `initial`
+  /// elaborates without running a cycle.
   RunResult execute(const ProblemSpec& problem,
-                    const grid::Grid<word_t>* initial) const;
+                    const grid::Grid<word_t>* initial,
+                    std::size_t cascade_depth) const;
   EngineOptions options_;
 };
 

@@ -25,6 +25,15 @@ struct MemoryEstimate {
 
   std::uint64_t r_total() const noexcept { return r_static + r_stream; }
   std::uint64_t b_total() const noexcept { return b_static + b_stream; }
+
+  /// Replicated designs (tiles) add field by field.
+  MemoryEstimate& operator+=(const MemoryEstimate& o) noexcept {
+    r_static += o.r_static;
+    b_static += o.b_static;
+    r_stream += o.r_stream;
+    b_stream += o.b_stream;
+    return *this;
+  }
 };
 
 /// Predict the memory footprint of a planned Smache instance.
@@ -46,6 +55,18 @@ struct MemoryActual {
   std::uint64_t r_total = 0;  // includes controller/kernel-interface regs
   std::uint64_t b_total = 0;
   std::uint64_t m20k_blocks = 0;
+
+  /// Replicated designs (tiles) add field by field.
+  MemoryActual& operator+=(const MemoryActual& o) noexcept {
+    r_static += o.r_static;
+    b_static += o.b_static;
+    r_stream += o.r_stream;
+    b_stream += o.b_stream;
+    r_total += o.r_total;
+    b_total += o.b_total;
+    m20k_blocks += o.m20k_blocks;
+    return *this;
+  }
 };
 
 MemoryActual measure_actual(const sim::ResourceLedger& ledger,

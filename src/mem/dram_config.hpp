@@ -87,6 +87,21 @@ struct DramStats {
   std::uint64_t total_bytes() const noexcept {
     return bytes_read() + bytes_written();
   }
+
+  /// Counters of runs that together make one result (tiles, passes) add
+  /// field by field.
+  DramStats& operator+=(const DramStats& o) noexcept {
+    read_requests += o.read_requests;
+    words_read += o.words_read;
+    words_written += o.words_written;
+    row_hits += o.row_hits;
+    row_misses += o.row_misses;
+    injected_stall_cycles += o.injected_stall_cycles;
+    injected_delay_cycles += o.injected_delay_cycles;
+    read_busy_cycles += o.read_busy_cycles;
+    return *this;
+  }
+  friend bool operator==(const DramStats&, const DramStats&) = default;
 };
 
 }  // namespace smache::mem

@@ -7,8 +7,8 @@
 //     path across thousands of Engine elaborations allocates once, ever;
 //   * the hot API is slot-based: instrumentation resolves a path to a
 //     dense Slot id at construction time, and every per-cycle touch is one
-//     enabled-flag branch plus one indexed add/compare — the same
-//     "near-free when disabled" contract as sim::Tracer.
+//     enabled-flag branch plus one indexed add/compare, so a disabled
+//     registry is near-free.
 //
 // Slots register unconditionally (elaboration-time, cheap); the enabled
 // flag gates only VALUE updates. That keeps the key set of a snapshot a

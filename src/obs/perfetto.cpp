@@ -2,29 +2,11 @@
 
 #include <cstdio>
 
+#include "common/escape.hpp"
+
 namespace smache::obs {
 
 namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 void append_u64(std::string& out, std::uint64_t v) {
   char buf[24];
@@ -49,14 +31,14 @@ std::string to_trace_json(const SpanLog& log) {
     out += "{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": 1, \"tid\": ";
     append_u64(out, i + 1);
     out += ", \"args\": {\"name\": \"";
-    append_escaped(out, log.lanes()[i].thread);
+    out += json_escape(log.lanes()[i].thread);
     out += "\"}}";
   }
   for (const Span& s : log.spans()) {
     if (!first) out += ",\n";
     first = false;
     out += "{\"ph\": \"X\", \"cat\": \"sim\", \"name\": \"";
-    append_escaped(out, log.lanes()[s.lane].event);
+    out += json_escape(log.lanes()[s.lane].event);
     out += "\", \"pid\": 1, \"tid\": ";
     append_u64(out, s.lane + 1);
     out += ", \"ts\": ";

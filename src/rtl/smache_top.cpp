@@ -135,14 +135,6 @@ std::uint64_t SmacheTop::output_base() const noexcept {
 
 void SmacheTop::eval() {
   if (case_of_cell_.empty()) build_cell_tables();
-  if (sim_.tracer().enabled()) {
-    sim_.tracer().sample(sim_.now(), "smache.top_state",
-                         static_cast<std::uint64_t>(top_.state()));
-    sim_.tracer().sample(sim_.now(), "smache.shifts", ctrl_.q().shifts);
-    sim_.tracer().sample(sim_.now(), "smache.emit_next",
-                         ctrl_.q().emit_next);
-    sim_.tracer().sample(sim_.now(), "smache.wb_count", ctrl_.q().wb_count);
-  }
   switch (top_.state()) {
     case Top::Warmup: eval_warmup(); break;
     case Top::Run: eval_run(); break;

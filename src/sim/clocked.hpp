@@ -144,7 +144,6 @@ class Clocked {
 ///   * any code calls wake() explicitly.
 /// Sleeping is always a pure optimisation, never a semantic: the quiescence
 /// claim is the module's contract, and Simulator::set_force_eval_all(true)
-/// (or an enabled tracer, whose per-cycle sample rows are observable)
 /// disables gating so property tests can cross-check the two modes
 /// bit-for-bit.
 class Module {

@@ -29,7 +29,6 @@
 #include "obs/spans.hpp"
 #include "sim/clocked.hpp"
 #include "sim/resources.hpp"
-#include "sim/trace.hpp"
 
 namespace smache::sim {
 
@@ -93,26 +92,16 @@ class Simulator {
   }
   bool force_eval_all() const noexcept { return force_eval_all_; }
 
-  /// Whether modules are currently allowed to sleep. Trace rows are
-  /// observable state sampled inside eval(), so an enabled tracer disables
-  /// gating too (enable tracing before the first step for complete traces —
-  /// modules already asleep stay asleep until their next wake).
-  bool gating_allowed() const noexcept {
-    return !force_eval_all_ && !tracer_.enabled();
-  }
+  /// Whether modules are currently allowed to sleep.
+  bool gating_allowed() const noexcept { return !force_eval_all_; }
 
   /// Resource accounting shared by every primitive built on this simulator.
   ResourceLedger& ledger() noexcept { return ledger_; }
   const ResourceLedger& ledger() const noexcept { return ledger_; }
 
-  /// Shared signal tracer (disabled by default; modules sample through it
-  /// unconditionally, which is near-free when disabled).
-  Tracer& tracer() noexcept { return tracer_; }
-  const Tracer& tracer() const noexcept { return tracer_; }
-
   /// Shared metrics registry (disabled by default — instrumented code
   /// registers slots unconditionally but every touch is one branch while
-  /// disabled, the Tracer contract).
+  /// disabled).
   obs::MetricsRegistry& metrics() noexcept { return metrics_; }
   const obs::MetricsRegistry& metrics() const noexcept { return metrics_; }
 
@@ -120,8 +109,8 @@ class Simulator {
   obs::SpanLog& spans() noexcept { return spans_; }
   const obs::SpanLog& spans() const noexcept { return spans_; }
 
-  /// Turn on cycle attribution and the metrics registry. Unlike tracing,
-  /// profiling does NOT disable activity gating: attribution classifies
+  /// Turn on cycle attribution and the metrics registry. Profiling does
+  /// NOT disable activity gating: attribution classifies
   /// the gated schedule itself (awake / asleep / fast-forwarded), so the
   /// simulated results stay bit-identical to an unprofiled run.
   void enable_profiling() noexcept {
@@ -236,10 +225,10 @@ class Simulator {
   /// become true (0 and 1 both mean "check after the next cycle") — e.g.
   /// outstanding write-backs, DRAM words in flight, or pipeline fill, each
   /// of which retires at most one per cycle. Every cycle is still
-  /// evaluated/committed normally (tracing, stats and waveforms see all of
-  /// them); only the predicate checks are skipped, so with a sound bound
-  /// the results — including the returned cycle count — are bit-identical
-  /// to checking after every cycle, while the done/bound callables run
+  /// evaluated/committed normally (stats and spans see all of them); only
+  /// the predicate checks are skipped, so with a sound bound the results —
+  /// including the returned cycle count — are bit-identical to checking
+  /// after every cycle, while the done/bound callables run
   /// O(completions) instead of O(cycles) times.
   ///
   /// Exactness argument: suppose done() first becomes true after cycle t*.
@@ -457,7 +446,6 @@ class Simulator {
   std::vector<Clocked*> clocked_;
   std::vector<Clocked*> commit_set_;  // retained across cycles
   ResourceLedger ledger_;
-  Tracer tracer_;
 
   // -- observability (enable_profiling / enable_spans) --
   obs::MetricsRegistry metrics_;

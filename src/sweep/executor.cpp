@@ -5,6 +5,7 @@
 #include <exception>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 
 #include "common/assert.hpp"
 #include "common/log.hpp"
@@ -50,27 +51,18 @@ void run_one(const Scenario& scenario, const ExecutorOptions& options,
           make_input(scenario.input, scenario.problem.height,
                      scenario.problem.width, scenario.problem.depth,
                      scenario.seed);
-      // Depth 1 is the per-instance SmacheTop/BaselineTop engine; depth > 1
-      // fuses that many time steps per DRAM pass through CascadeTop; a
-      // non-trivial tile mesh routes through run_tiled (which folds the
-      // depth into each tile's sub-cascade). The reference run below is
-      // depth- and tiling-independent (same problem.steps), so
-      // verification holds across fused passes and tile meshes.
-      if (scenario.tiles.height > 1 || scenario.tiles.width > 1 ||
-          scenario.tiles.depth > 1) {
-        TilingSpec tiling;
-        tiling.tiles_r = scenario.tiles.height;
-        tiling.tiles_c = scenario.tiles.width;
-        tiling.tiles_s = scenario.tiles.depth;
-        tiling.threads = options.tile_threads;
-        tiling.depth = scenario.depth;
-        out.run = engine.run_tiled(scenario.problem, init, tiling);
-      } else {
-        out.run = scenario.depth > 1
-                      ? engine.run_cascade(scenario.problem, init,
-                                           scenario.depth)
-                      : engine.run(scenario.problem, init);
-      }
+      // run_tiled is the general entry point: a 1x1 mesh runs the untiled
+      // engine, depth > 1 fuses that many time steps per DRAM pass. The
+      // reference run below is depth- and tiling-independent (same
+      // problem.steps), so verification holds across fused passes and
+      // tile meshes.
+      TilingSpec tiling;
+      tiling.tiles_r = scenario.tiles.height;
+      tiling.tiles_c = scenario.tiles.width;
+      tiling.tiles_s = scenario.tiles.depth;
+      tiling.threads = options.tile_threads;
+      tiling.depth = scenario.depth;
+      out.run = engine.run_tiled(scenario.problem, init, tiling);
       out.output_hash = hash_grid(*out.run.output);
       if (options.verify_reference) {
         const grid::Grid<word_t> golden =
@@ -104,31 +96,39 @@ void run_one(const Scenario& scenario, const ExecutorOptions& options,
                     .count();
 }
 
-/// ScenarioResult -> store record: exactly the deterministic fields that
-/// participate in digest() and report emission.
+/// The one StoredResult <-> ScenarioResult field mapping: every
+/// deterministic result field that participates in digest() and report
+/// emission, shared by to_stored and from_stored.
+template <typename Stored, typename Result, typename Assign>
+void for_each_field_pair(Stored& s, Result& r, Assign&& assign) {
+  assign(s.ok, r.ok);
+  assign(s.error, r.error);
+  assign(s.cycles, r.run.cycles);
+  assign(s.warmup_cycles, r.run.warmup_cycles);
+  assign(s.dram, r.run.dram);
+  assign(s.output_hash, r.output_hash);
+  assign(s.reference_checked, r.reference_checked);
+  assign(s.reference_match, r.reference_match);
+  assign(s.r_total, r.run.resources.r_total);
+  assign(s.b_total, r.run.resources.b_total);
+  assign(s.r_static, r.run.resources.r_static);
+  assign(s.b_static, r.run.resources.b_static);
+  assign(s.r_stream, r.run.resources.r_stream);
+  assign(s.b_stream, r.run.resources.b_stream);
+  assign(s.m20k_blocks, r.run.resources.m20k_blocks);
+  assign(s.fmax_mhz, r.run.timing.fmax_mhz);
+  assign(s.ops, r.run.ops);
+  assign(s.exec_time_us, r.run.exec_time_us);
+  assign(s.mops, r.run.mops);
+}
+
 StoredResult to_stored(const ScenarioResult& r, std::uint64_t key) {
   StoredResult s;
   s.key = key;
   s.label = r.scenario.label;
-  s.ok = r.ok;
-  s.error = r.error;
-  s.cycles = r.run.cycles;
-  s.warmup_cycles = r.run.warmup_cycles;
-  s.dram = r.run.dram;
-  s.output_hash = r.output_hash;
-  s.reference_checked = r.reference_checked;
-  s.reference_match = r.reference_match;
-  s.r_total = r.run.resources.r_total;
-  s.b_total = r.run.resources.b_total;
-  s.r_static = r.run.resources.r_static;
-  s.b_static = r.run.resources.b_static;
-  s.r_stream = r.run.resources.r_stream;
-  s.b_stream = r.run.resources.b_stream;
-  s.m20k_blocks = r.run.resources.m20k_blocks;
-  s.fmax_mhz = r.run.timing.fmax_mhz;
-  s.ops = r.run.ops;
-  s.exec_time_us = r.run.exec_time_us;
-  s.mops = r.run.mops;
+  for_each_field_pair(s, r, [](auto& stored, const auto& result) {
+    stored = result;
+  });
   return s;
 }
 
@@ -138,26 +138,10 @@ StoredResult to_stored(const ScenarioResult& r, std::uint64_t key) {
 void from_stored(const Scenario& scenario, const StoredResult& s,
                  ScenarioResult& out) {
   out.scenario = scenario;
-  out.ok = s.ok;
-  out.error = s.error;
   out.run.arch = scenario.engine.arch;
-  out.run.cycles = s.cycles;
-  out.run.warmup_cycles = s.warmup_cycles;
-  out.run.dram = s.dram;
-  out.output_hash = s.output_hash;
-  out.reference_checked = s.reference_checked;
-  out.reference_match = s.reference_match;
-  out.run.resources.r_total = s.r_total;
-  out.run.resources.b_total = s.b_total;
-  out.run.resources.r_static = s.r_static;
-  out.run.resources.b_static = s.b_static;
-  out.run.resources.r_stream = s.r_stream;
-  out.run.resources.b_stream = s.b_stream;
-  out.run.resources.m20k_blocks = s.m20k_blocks;
-  out.run.timing.fmax_mhz = s.fmax_mhz;
-  out.run.ops = s.ops;
-  out.run.exec_time_us = s.exec_time_us;
-  out.run.mops = s.mops;
+  for_each_field_pair(s, out, [](const auto& stored, auto& result) {
+    result = stored;
+  });
   out.from_store = true;
   out.wall_ms = 0.0;
 }
@@ -337,33 +321,18 @@ std::uint64_t SweepExecutor::digest(
       mix(h, r.scenario.problem.kernel.fields());
     if (r.scenario.problem.depth > 1) mix(h, r.scenario.problem.depth);
     if (r.scenario.tiles.depth > 1) mix(h, r.scenario.tiles.depth);
-    mix(h, r.ok);
-    mix_str(h, r.error);
-    mix(h, r.run.cycles);
-    mix(h, r.run.warmup_cycles);
-    mix(h, r.run.dram.read_requests);
-    mix(h, r.run.dram.words_read);
-    mix(h, r.run.dram.words_written);
-    mix(h, r.run.dram.row_hits);
-    mix(h, r.run.dram.row_misses);
-    mix(h, r.run.dram.injected_stall_cycles);
-    mix(h, r.run.dram.injected_delay_cycles);
-    mix(h, r.run.dram.read_busy_cycles);
-    mix(h, r.run.timed_out);
-    mix(h, r.output_hash);
-    mix(h, r.reference_checked);
-    mix(h, r.reference_match);
-    mix(h, r.run.resources.r_total);
-    mix(h, r.run.resources.b_total);
-    mix(h, r.run.resources.r_static);
-    mix(h, r.run.resources.b_static);
-    mix(h, r.run.resources.r_stream);
-    mix(h, r.run.resources.b_stream);
-    mix(h, r.run.resources.m20k_blocks);
-    mix(h, r.run.timing.fmax_mhz);
-    mix(h, r.run.ops);
-    mix(h, r.run.exec_time_us);
-    mix(h, r.run.mops);
+    // The result fields in store-payload order, plus the never-stored
+    // timed_out flag at its slot.
+    const StoredResult fields = to_stored(r, 0);
+    detail::for_each_payload_field(
+        fields,
+        [&h](const auto& v) {
+          if constexpr (std::is_same_v<std::decay_t<decltype(v)>, std::string>)
+            mix_str(h, v);
+          else
+            mix(h, v);
+        },
+        [&] { mix(h, r.run.timed_out); });
   }
   return h;
 }

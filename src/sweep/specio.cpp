@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/assert.hpp"
+#include "common/escape.hpp"
 
 namespace smache::sweep {
 
@@ -16,18 +17,13 @@ const char* impl_token(model::StreamImpl impl) noexcept {
 
 /// Registry names and mode/arch/impl tokens are plain identifiers, but the
 /// emitter still guards its output: quote and backslash are escaped, and a
-/// control character (which json_escape-style encoding could hide inside
-/// an "exact round-trip" file) is rejected outright.
+/// control character (which json_escape would hide inside an "exact
+/// round-trip" file) is rejected outright.
 std::string quote(std::string_view s) {
-  std::string out = "\"";
-  for (const char c : s) {
+  for (const char c : s)
     SMACHE_REQUIRE_MSG(static_cast<unsigned char>(c) >= 0x20,
                        "control character in spec token");
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-  return out;
+  return '"' + json_escape(s) + '"';
 }
 
 template <typename T, typename ToToken>

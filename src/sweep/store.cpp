@@ -179,60 +179,23 @@ FileIo& real_file_io() {
 
 // ---- encoding -------------------------------------------------------------
 
-bool operator==(const StoredResult& a, const StoredResult& b) {
-  return a.key == b.key && a.label == b.label && a.ok == b.ok &&
-         a.error == b.error && a.cycles == b.cycles &&
-         a.warmup_cycles == b.warmup_cycles &&
-         a.dram.read_requests == b.dram.read_requests &&
-         a.dram.words_read == b.dram.words_read &&
-         a.dram.words_written == b.dram.words_written &&
-         a.dram.row_hits == b.dram.row_hits &&
-         a.dram.row_misses == b.dram.row_misses &&
-         a.dram.injected_stall_cycles == b.dram.injected_stall_cycles &&
-         a.dram.injected_delay_cycles == b.dram.injected_delay_cycles &&
-         a.dram.read_busy_cycles == b.dram.read_busy_cycles &&
-         a.output_hash == b.output_hash &&
-         a.reference_checked == b.reference_checked &&
-         a.reference_match == b.reference_match &&
-         a.r_total == b.r_total && a.b_total == b.b_total &&
-         a.r_static == b.r_static && a.b_static == b.b_static &&
-         a.r_stream == b.r_stream && a.b_stream == b.b_stream &&
-         a.m20k_blocks == b.m20k_blocks && a.fmax_mhz == b.fmax_mhz &&
-         a.ops == b.ops && a.exec_time_us == b.exec_time_us &&
-         a.mops == b.mops;
-}
-
 std::string ResultStore::encode(const StoredResult& r) {
   std::string out;
   out.reserve(128 + r.label.size() + r.error.size());
   put_scalar(out, r.key);
   put_string(out, r.label);
-  put_scalar(out, static_cast<std::uint8_t>(r.ok));
-  put_string(out, r.error);
-  put_scalar(out, r.cycles);
-  put_scalar(out, r.warmup_cycles);
-  put_scalar(out, r.dram.read_requests);
-  put_scalar(out, r.dram.words_read);
-  put_scalar(out, r.dram.words_written);
-  put_scalar(out, r.dram.row_hits);
-  put_scalar(out, r.dram.row_misses);
-  put_scalar(out, r.dram.injected_stall_cycles);
-  put_scalar(out, r.dram.injected_delay_cycles);
-  put_scalar(out, r.dram.read_busy_cycles);
-  put_scalar(out, r.output_hash);
-  put_scalar(out, static_cast<std::uint8_t>(r.reference_checked));
-  put_scalar(out, static_cast<std::uint8_t>(r.reference_match));
-  put_scalar(out, r.r_total);
-  put_scalar(out, r.b_total);
-  put_scalar(out, r.r_static);
-  put_scalar(out, r.b_static);
-  put_scalar(out, r.r_stream);
-  put_scalar(out, r.b_stream);
-  put_scalar(out, r.m20k_blocks);
-  put_scalar(out, r.fmax_mhz);
-  put_scalar(out, r.ops);
-  put_scalar(out, r.exec_time_us);
-  put_scalar(out, r.mops);
+  detail::for_each_payload_field(
+      r,
+      [&out](const auto& v) {
+        using T = std::decay_t<decltype(v)>;
+        if constexpr (std::is_same_v<T, std::string>)
+          put_string(out, v);
+        else if constexpr (std::is_same_v<T, bool>)
+          put_scalar(out, static_cast<std::uint8_t>(v));
+        else
+          put_scalar(out, v);
+      },
+      [] {});
   return out;
 }
 
@@ -241,32 +204,18 @@ StoredResult ResultStore::decode(std::string_view payload) {
   StoredResult r;
   r.key = in.get<std::uint64_t>();
   r.label = in.get_string();
-  r.ok = in.get<std::uint8_t>() != 0;
-  r.error = in.get_string();
-  r.cycles = in.get<std::uint64_t>();
-  r.warmup_cycles = in.get<std::uint64_t>();
-  r.dram.read_requests = in.get<std::uint64_t>();
-  r.dram.words_read = in.get<std::uint64_t>();
-  r.dram.words_written = in.get<std::uint64_t>();
-  r.dram.row_hits = in.get<std::uint64_t>();
-  r.dram.row_misses = in.get<std::uint64_t>();
-  r.dram.injected_stall_cycles = in.get<std::uint64_t>();
-  r.dram.injected_delay_cycles = in.get<std::uint64_t>();
-  r.dram.read_busy_cycles = in.get<std::uint64_t>();
-  r.output_hash = in.get<std::uint64_t>();
-  r.reference_checked = in.get<std::uint8_t>() != 0;
-  r.reference_match = in.get<std::uint8_t>() != 0;
-  r.r_total = in.get<std::uint64_t>();
-  r.b_total = in.get<std::uint64_t>();
-  r.r_static = in.get<std::uint64_t>();
-  r.b_static = in.get<std::uint64_t>();
-  r.r_stream = in.get<std::uint64_t>();
-  r.b_stream = in.get<std::uint64_t>();
-  r.m20k_blocks = in.get<std::uint64_t>();
-  r.fmax_mhz = in.get<double>();
-  r.ops = in.get<std::uint64_t>();
-  r.exec_time_us = in.get<double>();
-  r.mops = in.get<double>();
+  detail::for_each_payload_field(
+      r,
+      [&in](auto& v) {
+        using T = std::decay_t<decltype(v)>;
+        if constexpr (std::is_same_v<T, std::string>)
+          v = in.get_string();
+        else if constexpr (std::is_same_v<T, bool>)
+          v = in.get<std::uint8_t>() != 0;
+        else
+          v = in.get<T>();
+      },
+      [] {});
   if (!in.exhausted())
     throw store_io_error("store record payload has trailing bytes");
   return r;

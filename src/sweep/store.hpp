@@ -134,8 +134,48 @@ struct StoredResult {
   double exec_time_us = 0.0;
   double mops = 0.0;
 
-  friend bool operator==(const StoredResult&, const StoredResult&);
+  friend bool operator==(const StoredResult&, const StoredResult&) = default;
 };
+
+namespace detail {
+
+/// StoredResult's payload fields in store-payload order: the one list that
+/// ResultStore::encode/decode and SweepExecutor::digest walk. `key` and
+/// `label` frame a record and stay outside it. `timed_out_slot` runs
+/// between the DRAM counters and output_hash, where the digest mixes the
+/// never-stored RunResult::timed_out.
+template <typename Record, typename Visit, typename Slot>
+void for_each_payload_field(Record& r, Visit&& visit, Slot&& timed_out_slot) {
+  visit(r.ok);
+  visit(r.error);
+  visit(r.cycles);
+  visit(r.warmup_cycles);
+  visit(r.dram.read_requests);
+  visit(r.dram.words_read);
+  visit(r.dram.words_written);
+  visit(r.dram.row_hits);
+  visit(r.dram.row_misses);
+  visit(r.dram.injected_stall_cycles);
+  visit(r.dram.injected_delay_cycles);
+  visit(r.dram.read_busy_cycles);
+  timed_out_slot();
+  visit(r.output_hash);
+  visit(r.reference_checked);
+  visit(r.reference_match);
+  visit(r.r_total);
+  visit(r.b_total);
+  visit(r.r_static);
+  visit(r.b_static);
+  visit(r.r_stream);
+  visit(r.b_stream);
+  visit(r.m20k_blocks);
+  visit(r.fmax_mhz);
+  visit(r.ops);
+  visit(r.exec_time_us);
+  visit(r.mops);
+}
+
+}  // namespace detail
 
 class ResultStore {
  public:

@@ -5,6 +5,7 @@
 #include "common/assert.hpp"
 #include "common/bits.hpp"
 #include "common/cli.hpp"
+#include "common/escape.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -97,6 +98,28 @@ TEST(Table, CsvQuotesSpecials) {
   const std::string csv = t.to_csv();
   EXPECT_NE(csv.find("\"x,y\""), std::string::npos);
   EXPECT_NE(csv.find("\"he said \"\"hi\"\"\""), std::string::npos);
+}
+
+TEST(Escape, JsonAndCsvBytesArePinned) {
+  // Every report, spec file and trace encodes strings through these two,
+  // so their bytes are part of the report format. Carriage return escapes
+  // numerically (\u000d), not as \r.
+  EXPECT_EQ(json_escape("a\rb"), "a\\u000db");
+  EXPECT_EQ(json_escape("say \"hi\""), "say \\\"hi\\\"");
+  EXPECT_EQ(json_escape("C:\\tmp"), "C:\\\\tmp");
+  EXPECT_EQ(json_escape(std::string("x\x01y\ttab\nnl")),
+            "x\\u0001y\\ttab\\nnl");
+  EXPECT_EQ(json_escape("a,b"), "a,b");
+  EXPECT_EQ(json_escape("plain"), "plain");
+
+  // RFC 4180: quote a field only when it holds a comma, quote or newline;
+  // embedded quotes double.
+  EXPECT_EQ(csv_quote("a,b"), "\"a,b\"");
+  EXPECT_EQ(csv_quote("say \"hi\""), "\"say \"\"hi\"\"\"");
+  EXPECT_EQ(csv_quote("line\nbreak"), "\"line\nbreak\"");
+  EXPECT_EQ(csv_quote("back\\slash"), "back\\slash");
+  EXPECT_EQ(csv_quote("plain"), "plain");
+  EXPECT_EQ(csv_quote(""), "");
 }
 
 TEST(Table, RowOverflowRejected) {

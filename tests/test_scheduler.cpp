@@ -2,7 +2,7 @@
 //
 // Part 1 — unit tests of the scheduler machinery itself: sleep/wake via
 // FIFO commit events, wake-at-cycle timers, explicit wake(), force-eval
-// mode, tracer interaction, and the all-asleep fast-forward.
+// mode, and the all-asleep fast-forward.
 //
 // Part 2 — the equivalence property: for randomized problem configurations
 // with DRAM stall injection and tight (back-pressuring) channel depths,
@@ -161,17 +161,6 @@ TEST(Scheduler, ForceEvalAllWakesCurrentSleepers) {
   EXPECT_FALSE(consumer.asleep());
   sim.step();
   EXPECT_EQ(consumer.evals, 2u);
-}
-
-TEST(Scheduler, EnabledTracerDisablesGating) {
-  // Trace rows are sampled inside eval(), so gating would drop samples of
-  // quiescent modules; an enabled tracer therefore disables sleeping.
-  sim::Simulator sim;
-  sim.tracer().set_enabled(true);
-  sim::Fifo<int> chan(sim, "chan", 4);
-  SleepyConsumer consumer(sim, chan);
-  for (int i = 0; i < 5; ++i) sim.step();
-  EXPECT_EQ(consumer.evals, 5u);
 }
 
 // ---------------------------------------------------------------------------

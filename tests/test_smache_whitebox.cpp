@@ -1,6 +1,5 @@
 // White-box tests of SmacheTop internals: FSM-1 warm-up contents, FSM-3
-// write-through capture, double-buffer swap timing, region ping-pong, and
-// the cycle tracer.
+// write-through capture, double-buffer swap timing and region ping-pong.
 #include <gtest/gtest.h>
 
 #include "core/engine.hpp"
@@ -68,33 +67,6 @@ TEST(SmacheWhitebox, OutputRegionAlternatesWithParity) {
     Bench b(8, 8, steps, init);
     EXPECT_EQ(b.top->output_base(), steps % 2 == 0 ? 0u : 64u);
   }
-}
-
-TEST(SmacheWhitebox, TracerRecordsControllerSignals) {
-  const auto init = iota_grid(8, 8);
-  Bench b(8, 8, 1, init);
-  b.sim.tracer().set_enabled(true);
-  b.sim.run_until([&] { return b.top->done() && b.dram->idle(); }, 10000);
-  const auto& rows = b.sim.tracer().rows();
-  ASSERT_FALSE(rows.empty());
-  bool saw_state = false, saw_shifts = false;
-  for (const auto& r : rows) {
-    if (r.signal == "smache.top_state") saw_state = true;
-    if (r.signal == "smache.shifts" && r.value > 0) saw_shifts = true;
-  }
-  EXPECT_TRUE(saw_state);
-  EXPECT_TRUE(saw_shifts);
-  // CSV rendering includes the header and the sampled signal names.
-  const std::string csv = b.sim.tracer().to_csv();
-  EXPECT_NE(csv.find("cycle,signal,value"), std::string::npos);
-  EXPECT_NE(csv.find("smache.top_state"), std::string::npos);
-}
-
-TEST(SmacheWhitebox, TracerDisabledCollectsNothing) {
-  const auto init = iota_grid(8, 8);
-  Bench b(8, 8, 1, init);
-  b.sim.run_until([&] { return b.top->done() && b.dram->idle(); }, 10000);
-  EXPECT_TRUE(b.sim.tracer().rows().empty());
 }
 
 TEST(SmacheWhitebox, RejectsUndersizedDram) {

@@ -108,6 +108,14 @@ TEST(StoreEncoding, RoundTripsEveryField) {
   EXPECT_EQ(ResultStore::decode(ResultStore::encode(failed)), failed);
 }
 
+TEST(StoreEncoding, PayloadBytesArePinned) {
+  // The on-disk record format: a change here strands every existing store
+  // segment, so it must come with a kFormatVersion bump.
+  const std::string payload = ResultStore::encode(sample_record(42));
+  EXPECT_EQ(payload.size(), 233u);
+  EXPECT_EQ(fnv1a(payload), 0x5728c6db919eeb36ull);
+}
+
 TEST(StoreEncoding, RejectsTruncatedAndOversizedPayloads) {
   const std::string payload = ResultStore::encode(sample_record(1));
   for (const std::size_t cut : {std::size_t{0}, std::size_t{4},

@@ -523,6 +523,29 @@ TEST(SweepExecutor, ThreadedSweepIsBitIdenticalToSerial) {
   }
 }
 
+TEST(SweepExecutor, DigestIsPinned) {
+  // The digest's field set and mixing order, pinned over both archs, a
+  // cascade depth and a tile mesh: committed reports quote this value.
+  // The sweep is failure-free on purpose — captured error strings embed
+  // source locations.
+  SweepSpec spec;
+  spec.archs = {Architecture::Smache, Architecture::Baseline};
+  spec.grids = {{8, 8}};
+  spec.steps = {2};
+  spec.depths = {1, 2};
+  spec.tiles = {{1, 1}, {2, 2}};
+  spec.boundaries = {"open", "island"};
+  ExecutorOptions opts;
+  opts.verify_reference = true;
+  const auto results = SweepExecutor(opts).run(spec);
+  ASSERT_EQ(results.size(), 12u);
+  for (const ScenarioResult& r : results) {
+    ASSERT_TRUE(r.ok) << r.scenario.label << ": " << r.error;
+    EXPECT_TRUE(r.reference_match) << r.scenario.label;
+  }
+  EXPECT_EQ(SweepExecutor::digest(results), 0x5b85d6e9d80deeddull);
+}
+
 TEST(SweepExecutor, MatchesADirectEngineRun) {
   SweepSpec spec;
   spec.grids = {{11, 11}};

@@ -410,5 +410,73 @@ TEST(TiledEngine, AggregatesTileCostsHonestly) {
   EXPECT_LT(tiled.cycles, plain.cycles);
 }
 
+TEST(TiledEngine, DramCountersAndResourcesAreTheSumOverTiles) {
+  // One pass (steps == depth), so the four tile-runs below are the whole
+  // tiled scenario: every DRAM counter — the injected-fault counters
+  // included — and every pass-0 resource must be their field-by-field sum.
+  ProblemSpec p;
+  p.height = 16;
+  p.width = 16;
+  p.shape = StencilShape::von_neumann4();
+  p.bc = BoundarySpec::all_open();
+  p.steps = 1;
+  EngineOptions opts = EngineOptions::smache();
+  opts.dram.storm_every = 11;
+  opts.dram.storm_cycles = 5;
+  opts.dram.delay_every = 7;
+  opts.dram.delay_cycles = 3;
+  const Engine engine(opts);
+  const auto init = random_grid(p.height, p.width, 91);
+  const RunResult tiled = engine.run_tiled(p, init, TilingSpec{2, 2, 1, 1});
+
+  const TilingLayout layout =
+      grid::plan_tiling(p.height, p.width, 2, 2, p.shape, p.bc, 1);
+  ASSERT_EQ(layout.tiles.size(), 4u);
+  mem::DramStats dram;
+  cost::MemoryActual resources;
+  for (const TileGeometry& t : layout.tiles) {
+    ProblemSpec sub = p;
+    sub.height = t.sub_height();
+    sub.width = t.sub_width();
+    sub.bc = t.sub_bc;
+    const RunResult r = engine.run(sub, grid::gather_tile(init, t, p.bc));
+    dram.read_requests += r.dram.read_requests;
+    dram.words_read += r.dram.words_read;
+    dram.words_written += r.dram.words_written;
+    dram.row_hits += r.dram.row_hits;
+    dram.row_misses += r.dram.row_misses;
+    dram.injected_stall_cycles += r.dram.injected_stall_cycles;
+    dram.injected_delay_cycles += r.dram.injected_delay_cycles;
+    dram.read_busy_cycles += r.dram.read_busy_cycles;
+    resources.r_static += r.resources.r_static;
+    resources.b_static += r.resources.b_static;
+    resources.r_stream += r.resources.r_stream;
+    resources.b_stream += r.resources.b_stream;
+    resources.r_total += r.resources.r_total;
+    resources.b_total += r.resources.b_total;
+    resources.m20k_blocks += r.resources.m20k_blocks;
+  }
+  // Both fault flavours actually fired, so the sums below are not 0 == 0.
+  EXPECT_GT(dram.injected_stall_cycles, 0u);
+  EXPECT_GT(dram.injected_delay_cycles, 0u);
+
+  EXPECT_EQ(tiled.dram.read_requests, dram.read_requests);
+  EXPECT_EQ(tiled.dram.words_read, dram.words_read);
+  EXPECT_EQ(tiled.dram.words_written, dram.words_written);
+  EXPECT_EQ(tiled.dram.row_hits, dram.row_hits);
+  EXPECT_EQ(tiled.dram.row_misses, dram.row_misses);
+  EXPECT_EQ(tiled.dram.injected_stall_cycles, dram.injected_stall_cycles);
+  EXPECT_EQ(tiled.dram.injected_delay_cycles, dram.injected_delay_cycles);
+  EXPECT_EQ(tiled.dram.read_busy_cycles, dram.read_busy_cycles);
+
+  EXPECT_EQ(tiled.resources.r_static, resources.r_static);
+  EXPECT_EQ(tiled.resources.b_static, resources.b_static);
+  EXPECT_EQ(tiled.resources.r_stream, resources.r_stream);
+  EXPECT_EQ(tiled.resources.b_stream, resources.b_stream);
+  EXPECT_EQ(tiled.resources.r_total, resources.r_total);
+  EXPECT_EQ(tiled.resources.b_total, resources.b_total);
+  EXPECT_EQ(tiled.resources.m20k_blocks, resources.m20k_blocks);
+}
+
 }  // namespace
 }  // namespace smache

@@ -1,94 +1,12 @@
-// Tests for the VCD waveform writer and the weighted 3x3 convolution
-// kernels (Gaussian / Laplacian), including end-to-end engine runs.
+// Tests for the weighted 3x3 convolution kernels (Gaussian / Laplacian),
+// including end-to-end engine runs.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
 #include "core/engine.hpp"
-#include "sim/vcd.hpp"
 
 namespace smache {
 namespace {
-
-TEST(Vcd, HeaderScopesAndChanges) {
-  sim::Tracer tracer(true);
-  tracer.sample(0, "smache.state", 0);
-  tracer.sample(0, "dram.busy", 1);
-  tracer.sample(1, "smache.state", 2);
-  tracer.sample(2, "smache.state", 2);  // unchanged: must not re-emit
-  tracer.sample(3, "smache.state", 1);
-  const std::string vcd = sim::to_vcd(tracer);
-  EXPECT_NE(vcd.find("$timescale 1ns $end"), std::string::npos);
-  EXPECT_NE(vcd.find("$scope module smache $end"), std::string::npos);
-  EXPECT_NE(vcd.find("$scope module dram $end"), std::string::npos);
-  EXPECT_NE(vcd.find("$var wire 64"), std::string::npos);
-  EXPECT_NE(vcd.find("$enddefinitions $end"), std::string::npos);
-  // Timestamps present, change-only semantics: #2 never appears.
-  EXPECT_NE(vcd.find("#0"), std::string::npos);
-  EXPECT_NE(vcd.find("#1"), std::string::npos);
-  EXPECT_EQ(vcd.find("#2"), std::string::npos);
-  EXPECT_NE(vcd.find("#3"), std::string::npos);
-  // Binary value encoding: state 2 = b10.
-  EXPECT_NE(vcd.find("b10 "), std::string::npos);
-}
-
-TEST(Vcd, SignalWithoutDotLandsInTopScope) {
-  sim::Tracer tracer(true);
-  tracer.sample(0, "plain", 7);
-  const std::string vcd = sim::to_vcd(tracer);
-  EXPECT_NE(vcd.find("$scope module top $end"), std::string::npos);
-  EXPECT_NE(vcd.find(" plain $end"), std::string::npos);
-  EXPECT_NE(vcd.find("b111 "), std::string::npos);
-}
-
-TEST(Vcd, FullEngineTraceRendersNonTrivially) {
-  ProblemSpec p = ProblemSpec::paper_example();
-  p.steps = 2;
-
-  sim::Tracer tracer(true);
-  // Run through the engine path indirectly: use a white-box bench here
-  // because Engine owns its simulator. A short manual run suffices.
-  // (The engine-level trace integration is exercised in
-  // test_smache_whitebox.)
-  tracer.sample(0, "smache.top_state", 0);
-  tracer.sample(1, "smache.top_state", 1);
-  const std::string vcd = sim::to_vcd(tracer);
-  EXPECT_GT(vcd.size(), 100u);
-}
-
-TEST(TraceCsv, HeaderAndRowsRoundTrip) {
-  sim::Tracer tracer(true);
-  tracer.sample(0, "smache.state", 3);
-  tracer.sample(7, "dram.busy", 1);
-  EXPECT_EQ(tracer.to_csv(),
-            "cycle,signal,value\n0,smache.state,3\n7,dram.busy,1\n");
-  ASSERT_EQ(tracer.rows().size(), 2u);
-  tracer.clear();
-  EXPECT_EQ(tracer.to_csv(), "cycle,signal,value\n");
-}
-
-TEST(TraceCsv, SignalNamesQuotePerRfc4180) {
-  // Signal names are caller-chosen strings; commas, quotes and newlines
-  // must not corrupt the row structure (same quoting rules as
-  // sweep::emit_csv).
-  sim::Tracer tracer(true);
-  tracer.sample(1, "a,b", 2);
-  tracer.sample(2, "say \"hi\"", 3);
-  tracer.sample(3, "line\nbreak", 4);
-  tracer.sample(4, "plain", 5);
-  EXPECT_EQ(tracer.to_csv(),
-            "cycle,signal,value\n"
-            "1,\"a,b\",2\n"
-            "2,\"say \"\"hi\"\"\",3\n"
-            "3,\"line\nbreak\",4\n"
-            "4,plain,5\n");
-}
-
-TEST(TraceCsv, DisabledTracerEmitsHeaderOnly) {
-  sim::Tracer tracer(false);
-  tracer.sample(0, "ignored", 1);
-  EXPECT_TRUE(tracer.rows().empty());
-  EXPECT_EQ(tracer.to_csv(), "cycle,signal,value\n");
-}
 
 grid::Grid<word_t> random_image(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
