@@ -3,8 +3,10 @@
 // layouts, F>1 gather/stitch round-trips, the threaded-vs-serial
 // bit-identity wall extended to application workloads (including a
 // periodic depth>1 tiled case), smache-vs-baseline-vs-reference agreement
-// for FDTD / hotspot / Jacobi across depths, store warm/cold reuse for an
-// F>1 scenario, and the conditional fields emission in JSON/CSV reports.
+// for FDTD / hotspot / Jacobi across depths, per-top F>1 pins (cycles,
+// DRAM counters, output hash, resources and the top's metric snapshot),
+// store warm/cold reuse for an F>1 scenario, and the conditional fields
+// emission in JSON/CSV reports.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -255,6 +257,152 @@ TEST(MultiFieldEngine, WorkloadsMatchReferenceAcrossArchsAndDepths) {
         Engine(EngineOptions::smache()).run_cascade(p2, init, 2);
     ASSERT_TRUE(cascade.output.has_value());
     EXPECT_EQ(*cascade.output, golden2) << app.kernel << " cascade d2";
+  }
+}
+
+// ---- F>1 pins: every top's observable behaviour at F = 2 and F = 3 ----
+
+/// One pinned run: 16x16 star5/open, 2 steps, profiled. `top` selects the
+/// design (cascade at depth 2); `wq1` shrinks the DRAM write queue to one
+/// slot, the only setting under which the F-word write-back drain is
+/// blocked by the write channel.
+struct FieldPin {
+  const char* top;
+  const char* kernel;
+  bool wq1;
+  std::uint64_t cycles;
+  std::uint64_t warmup;
+  mem::DramStats dram;
+  std::uint64_t output_hash;
+  std::uint64_t r_total;
+  std::uint64_t b_total;
+  // Every "<top>/..." metric, prefix stripped, as "path=value" in path
+  // order (keys and values both pinned).
+  const char* metrics;
+};
+
+RunResult run_pin(const FieldPin& pin) {
+  const std::string kernel = pin.kernel;
+  ProblemSpec p;
+  p.height = 16;
+  p.width = 16;
+  p.shape = sweep::make_stencil("star5");
+  p.bc = BoundarySpec::all_open();
+  p.kernel = sweep::make_kernel(kernel);
+  p.steps = 2;
+  const auto init = sweep::make_input(
+      kernel == "hotspot" ? "hotspot-chip" : "fdtd-cavity", 16, 16, 1, 1234);
+  const std::string top = pin.top;
+  EngineOptions o = top == "baseline" ? EngineOptions::baseline()
+                                      : EngineOptions::smache();
+  o.profile = true;
+  if (pin.wq1) o.dram.write_queue_depth = 1;
+  const Engine engine(o);
+  return top == "cascade" ? engine.run_cascade(p, init, 2)
+                          : engine.run(p, init);
+}
+
+std::string top_metrics(const RunResult& r, const std::string& top) {
+  const std::string prefix = top + "/";
+  std::string out;
+  for (const obs::MetricSample& s : r.metrics) {
+    if (s.path.compare(0, prefix.size(), prefix) != 0) continue;
+    if (!out.empty()) out += ' ';
+    out += s.path.substr(prefix.size()) + "=" + std::to_string(s.value);
+  }
+  return out;
+}
+
+TEST(MultiFieldPins, EveryTopAtF2AndF3IsPinned) {
+  // Captured before the tops shared one DRAM-facing cell port; the
+  // write_queue_depth = 1 rows are the ones with non-zero
+  // stall/writeback_backpressure.
+  const FieldPin pins[] = {
+      {"smache", "hotspot", false, 1117, 0,
+       {2, 1024, 1024, 0, 0, 0, 0, 1024},
+       0x6047f26a6e4c0599ull, 839, 2048,
+       "gather_staging_cycles=512 stall/dram_wait=6 "
+       "stall/kernel_backpressure=20 stall/request_backpressure=0 "
+       "stall/writeback_backpressure=0 writeback_drain_cycles=512"},
+      {"smache", "hotspot", true, 2139, 0,
+       {2, 1024, 1024, 0, 0, 0, 0, 1024},
+       0x6047f26a6e4c0599ull, 839, 2048,
+       "gather_staging_cycles=512 stall/dram_wait=6 "
+       "stall/kernel_backpressure=1012 stall/request_backpressure=0 "
+       "stall/writeback_backpressure=1022 writeback_drain_cycles=512"},
+      {"smache", "fdtd", false, 1665, 0,
+       {2, 1536, 1536, 0, 0, 0, 0, 1536},
+       0x02e3016f6e10b25cull, 1255, 3072,
+       "gather_staging_cycles=1024 stall/dram_wait=6 "
+       "stall/kernel_backpressure=40 stall/request_backpressure=0 "
+       "stall/writeback_backpressure=0 writeback_drain_cycles=1024"},
+      {"smache", "fdtd", true, 3199, 0,
+       {2, 1536, 1536, 0, 0, 0, 0, 1536},
+       0x02e3016f6e10b25cull, 1255, 3072,
+       "gather_staging_cycles=1024 stall/dram_wait=6 "
+       "stall/kernel_backpressure=1528 stall/request_backpressure=0 "
+       "stall/writeback_backpressure=1534 writeback_drain_cycles=1024"},
+      {"cascade", "hotspot", false, 599, 86,
+       {1, 512, 512, 0, 0, 0, 0, 512},
+       0x6047f26a6e4c0599ull, 1812, 4096,
+       "ctrl/stage1/input/hwm=4 gather_staging_cycles=256 "
+       "stall/dram_wait=3 stall/interstage_backpressure=286 "
+       "stall/kernel_backpressure=27 stall/request_backpressure=0 "
+       "stall/writeback_backpressure=0 writeback_drain_cycles=256"},
+      {"cascade", "hotspot", true, 1110, 86,
+       {1, 512, 512, 0, 0, 0, 0, 512},
+       0x6047f26a6e4c0599ull, 1812, 4096,
+       "ctrl/stage1/input/hwm=4 gather_staging_cycles=256 "
+       "stall/dram_wait=3 stall/interstage_backpressure=729 "
+       "stall/kernel_backpressure=1167 stall/request_backpressure=0 "
+       "stall/writeback_backpressure=511 writeback_drain_cycles=256"},
+      {"cascade", "fdtd", false, 890, 121,
+       {1, 768, 768, 0, 0, 0, 0, 768},
+       0x02e3016f6e10b25cull, 2708, 6144,
+       "ctrl/stage1/input/hwm=4 gather_staging_cycles=512 "
+       "stall/dram_wait=3 stall/interstage_backpressure=547 "
+       "stall/kernel_backpressure=54 stall/request_backpressure=0 "
+       "stall/writeback_backpressure=0 writeback_drain_cycles=512"},
+      {"cascade", "fdtd", true, 1657, 121,
+       {1, 768, 768, 0, 0, 0, 0, 768},
+       0x02e3016f6e10b25cull, 2708, 6144,
+       "ctrl/stage1/input/hwm=4 gather_staging_cycles=512 "
+       "stall/dram_wait=3 stall/interstage_backpressure=1206 "
+       "stall/kernel_backpressure=1867 stall/request_backpressure=0 "
+       "stall/writeback_backpressure=767 writeback_drain_cycles=512"},
+      {"baseline", "hotspot", false, 6153, 0,
+       {2560, 5120, 1024, 0, 0, 0, 0, 5120},
+       0x6047f26a6e4c0599ull, 401, 0,
+       "stall/dram_wait=518 stall/request_backpressure=3562 "
+       "stall/writeback_backpressure=0 writeback_drain_cycles=512"},
+      {"baseline", "hotspot", true, 6155, 0,
+       {2560, 5120, 1024, 0, 0, 0, 0, 5120},
+       0x6047f26a6e4c0599ull, 401, 0,
+       "stall/dram_wait=8 stall/request_backpressure=3562 "
+       "stall/writeback_backpressure=512 writeback_drain_cycles=512"},
+      {"baseline", "fdtd", false, 9225, 0,
+       {2560, 7680, 1536, 0, 0, 0, 0, 7680},
+       0x02e3016f6e10b25cull, 593, 0,
+       "stall/dram_wait=518 stall/request_backpressure=6620 "
+       "stall/writeback_backpressure=0 writeback_drain_cycles=1024"},
+      {"baseline", "fdtd", true, 9739, 0,
+       {2560, 7680, 1536, 0, 0, 0, 0, 7680},
+       0x02e3016f6e10b25cull, 593, 0,
+       "stall/dram_wait=8 stall/request_backpressure=7118 "
+       "stall/writeback_backpressure=1024 writeback_drain_cycles=1024"},
+  };
+  for (const FieldPin& pin : pins) {
+    const std::string label = std::string(pin.top) + " " + pin.kernel +
+                              (pin.wq1 ? " write_queue_depth=1" : "");
+    const RunResult r = run_pin(pin);
+    ASSERT_TRUE(r.output.has_value()) << label;
+    EXPECT_EQ(r.cycles, pin.cycles) << label;
+    EXPECT_EQ(r.warmup_cycles, pin.warmup) << label;
+    EXPECT_EQ(r.dram, pin.dram) << label;
+    EXPECT_EQ(sweep::hash_grid(*r.output), pin.output_hash) << label;
+    EXPECT_EQ(r.resources.r_total, pin.r_total) << label;
+    EXPECT_EQ(r.resources.b_total, pin.b_total) << label;
+    EXPECT_EQ(top_metrics(r, pin.top), pin.metrics) << label;
   }
 }
 
