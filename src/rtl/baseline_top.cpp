@@ -24,41 +24,22 @@ BaselineTop::BaselineTop(sim::Simulator& sim, const std::string& path,
       dram_(dram),
       top_(sim, path + "/ctrl/top_fsm", Top::Run, 3),
       ctrl_(sim, Ctrl{},
-            [&] {
-              // col_elem counts tuple WORDS (taps * F); for F = 1 the list
-              // is byte-identical to the original. F > 1 appends the
-              // write-back staging a multi-word drain holds.
-              const std::size_t f = kernel_spec.fields();
-              std::vector<sim::RegGroup<Ctrl>::FieldCharge> charges = {
-                  {path + "/ctrl/instance", smache::count_bits(steps)},
-                  {path + "/ctrl/req_cell", smache::count_bits(cells_)},
-                  {path + "/ctrl/req_elem", smache::count_bits(shape.size())},
-                  {path + "/ctrl/col_cell", smache::count_bits(cells_)},
-                  {path + "/ctrl/col_elem",
-                   smache::count_bits(shape.size() * f)},
-                  {path + "/ctrl/wb_count", smache::count_bits(cells_)}};
-              if (f > 1) {
-                charges.push_back(
-                    {path + "/ctrl/wb_field", smache::count_bits(f)});
-                charges.push_back(
-                    {path + "/ctrl/wb_index", smache::count_bits(cells_)});
-                charges.push_back(
-                    {path + "/ctrl/wb_vals",
-                     static_cast<std::uint32_t>((f - 1) * kWordBits)});
-              }
-              return charges;
-            }()),
+            // col_elem counts tuple WORDS (taps * F).
+            {{path + "/ctrl/instance", smache::count_bits(steps)},
+             {path + "/ctrl/req_cell", smache::count_bits(cells_)},
+             {path + "/ctrl/req_elem", smache::count_bits(shape.size())},
+             {path + "/ctrl/col_cell", smache::count_bits(cells_)},
+             {path + "/ctrl/col_elem",
+              smache::count_bits(shape.size() * fields_)},
+             {path + "/ctrl/wb_count", smache::count_bits(cells_)}}),
       tuple_regs_(sim, path + "/datapath/tuple_regs",
                   shape.size() * kernel_spec.fields(), 0, kWordBits),
+      writer_(sim, path, dram.write_req(), fields_, cells_),
       mreg_(&sim.metrics()),
       s_req_bp_(mreg_->slot(path, "/stall/request_backpressure",
                             obs::MetricKind::Counter)),
       s_dram_wait_(
-          mreg_->slot(path, "/stall/dram_wait", obs::MetricKind::Counter)),
-      s_wb_bp_(mreg_->slot(path, "/stall/writeback_backpressure",
-                           obs::MetricKind::Counter)),
-      s_wb_drain_(mreg_->slot(path, "/writeback_drain_cycles",
-                              obs::MetricKind::Counter)) {
+          mreg_->slot(path, "/stall/dram_wait", obs::MetricKind::Counter)) {
   SMACHE_REQUIRE(steps >= 1);
   set_obs_name(path);
   SMACHE_REQUIRE(dram.size_words() >= 2 * words_);
@@ -169,34 +150,18 @@ void BaselineTop::eval_run() {
     }
   }
 
-  // -- collector: one data word per cycle; kernel + write on the last --
-  if (fields_ > 1 && c.wb_field > 0) {
-    // F > 1: drain the staged result cell (one word per cycle) before
-    // collecting further tuple words; field 0 went out on the pop cycle.
-    if (dram_.write_req().can_push()) {
-      dram_.write_req().push(
-          mem::DramWriteReq{out_base() + c.wb_index * fields_ + c.wb_field,
-                            c.wb_vals[c.wb_field]});
-      mreg_->count(s_wb_drain_);
-      did_work = true;
-      if (c.wb_field + 1 == static_cast<std::uint32_t>(fields_)) {
-        ctrl_.d().wb_field = 0;
-        ctrl_.d().wb_count = c.wb_count + 1;
-        if (c.wb_count + 1 == cells_) {
-          top_.go(c.instance + 1 == steps_ ? Top::Done : Top::Gap);
-        }
-      } else {
-        ctrl_.d().wb_field = c.wb_field + 1;
-      }
-    } else {
-      mreg_->count(s_wb_bp_);
-    }
+  // -- collector: one data word per cycle; kernel + write on the last. The
+  // writer drains a result cell's fields 1..F-1 before the collector takes
+  // further tuple words. --
+  CellWriter::Step wb = CellWriter::Step::Idle;
+  if (writer_.draining()) {
+    wb = writer_.drain(out_base());
   } else if (c.col_cell < cells_ && !dram_.read_data().can_pop()) {
     mreg_->count(s_dram_wait_);
   } else if (c.col_cell < cells_) {
     const bool last = c.col_elem + 1 == tuple_words;
     // On the final word the write must be postable in the same cycle.
-    if (!last || dram_.write_req().can_push()) {
+    if (!last || writer_.ready()) {
       const word_t v = dram_.read_data().pop();
       did_work = true;
       if (!last) {
@@ -219,25 +184,17 @@ void BaselineTop::eval_run() {
         }
         std::array<word_t, kMaxFields> out{};
         apply_kernel_cells(kernel_spec_, scratch_, fields_, out.data());
-        dram_.write_req().push(
-            mem::DramWriteReq{out_base() + cell * fields_, out[0]});
+        wb = writer_.write(out_base(), cell, out);
         ctrl_.d().col_elem = 0;
         ctrl_.d().col_cell = cell + 1;
-        if (fields_ == 1) {
-          ctrl_.d().wb_count = c.wb_count + 1;
-          if (c.wb_count + 1 == cells_) {
-            top_.go(c.instance + 1 == steps_ ? Top::Done : Top::Gap);
-          }
-        } else {
-          // Stage fields 1..F-1 for the following cycles' drain.
-          ctrl_.d().wb_index = cell;
-          ctrl_.d().wb_vals = out;
-          ctrl_.d().wb_field = 1;
-        }
       }
-    } else {
-      mreg_->count(s_wb_bp_);
     }
+  }
+  if (wb != CellWriter::Step::Idle) did_work = true;
+  if (wb == CellWriter::Step::Cell) {
+    ctrl_.d().wb_count = c.wb_count + 1;
+    if (c.wb_count + 1 == cells_)
+      top_.go(c.instance + 1 == steps_ ? Top::Done : Top::Gap);
   }
 
   // Starved: both FSMs are blocked on channel conditions subscribed to in
@@ -264,7 +221,6 @@ void BaselineTop::eval() {
         d.col_cell = 0;
         d.col_elem = 0;
         d.wb_count = 0;
-        d.wb_field = 0;
         top_.go(Top::Run);
       } else {
         // Sound lower bound on the first cycle the fence can pass; write

@@ -17,7 +17,6 @@
 // making writes contend with reads — tuple+1 issue slots per point.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -27,6 +26,7 @@
 #include "grid/stencil.hpp"
 #include "grid/zones.hpp"
 #include "mem/dram.hpp"
+#include "rtl/cell_port.hpp"
 #include "rtl/kernel.hpp"
 #include "rtl/top_support.hpp"
 #include "sim/fsm.hpp"
@@ -81,11 +81,9 @@ class BaselineTop : public sim::Module {
   };
 
   /// All controller registers as one state element (single commit per
-  /// cycle); ledger charges stay per field (see sim::RegGroup). For F > 1
-  /// cell layouts the requester reads F-word cells (one burst request per
-  /// tuple element), col_elem counts tuple WORDS (taps * F), and the wb_*
-  /// staging drains the F-word result cell one word per cycle; F = 1 never
-  /// touches (or charges) the staging fields.
+  /// cycle); ledger charges stay per field (see sim::RegGroup). The
+  /// requester reads F-word cells (one burst request per tuple element) and
+  /// col_elem counts tuple WORDS (taps * F).
   struct Ctrl {
     std::uint64_t req_cell = 0;
     std::uint64_t col_cell = 0;
@@ -93,9 +91,6 @@ class BaselineTop : public sim::Module {
     std::uint32_t instance = 0;
     std::uint32_t req_elem = 0;
     std::uint32_t col_elem = 0;
-    std::uint32_t wb_field = 0;
-    std::uint64_t wb_index = 0;
-    std::array<word_t, kMaxFields> wb_vals{};
   };
 
   std::uint64_t in_base() const noexcept;
@@ -120,16 +115,17 @@ class BaselineTop : public sim::Module {
   sim::FsmState<Top> top_;
   sim::RegGroup<Ctrl> ctrl_;
   sim::RegArray<word_t> tuple_regs_;
+  // DRAM-facing write port: the collector's result cells.
+  CellWriter writer_;
 
   std::vector<grid::TupleElem> scratch_;
 
-  // -- observability: stalled-eval / drain-cycle counters (see SmacheTop
-  // for the episode-vs-cycle counting semantics under gating) --
+  // -- observability: stalled-eval counters (see SmacheTop for the
+  // episode-vs-cycle counting semantics under gating; the writer counts
+  // its own drain and write-back backpressure) --
   obs::MetricsRegistry* mreg_;
   obs::MetricsRegistry::Slot s_req_bp_;    // read_req channel full
   obs::MetricsRegistry::Slot s_dram_wait_; // read_data not ready
-  obs::MetricsRegistry::Slot s_wb_bp_;     // write_req channel full
-  obs::MetricsRegistry::Slot s_wb_drain_;  // F>1 cell-drain cycles
 };
 
 }  // namespace smache::rtl

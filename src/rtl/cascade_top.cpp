@@ -18,25 +18,13 @@ CascadeTop::CascadeTop(sim::Simulator& sim, const std::string& path,
       sim_(sim),
       top_(sim, path + "/ctrl/top_fsm", Top::Run, 3),
       ctrl_(sim, Ctrl{},
-            [&] {
-              // F = 1 keeps the original charge list byte-identical; F > 1
-              // appends the write-back staging a multi-word drain holds.
-              std::vector<sim::RegGroup<Ctrl>::FieldCharge> charges = {
-                  {path + "/ctrl/pass", smache::count_bits(passes)},
-                  {path + "/ctrl/req_issued", 1},
-                  {path + "/ctrl/wb_count", smache::count_bits(cells_)}};
-              if (kernel_spec.fields() > 1) {
-                charges.push_back({path + "/ctrl/wb_field",
-                                   smache::count_bits(kernel_spec.fields())});
-                charges.push_back(
-                    {path + "/ctrl/wb_index", smache::count_bits(cells_)});
-                charges.push_back(
-                    {path + "/ctrl/wb_vals",
-                     static_cast<std::uint32_t>(
-                         (kernel_spec.fields() - 1) * kWordBits)});
-              }
-              return charges;
-            }()),
+            {{path + "/ctrl/pass", smache::count_bits(passes)},
+             {path + "/ctrl/req_issued", 1},
+             {path + "/ctrl/wb_count", smache::count_bits(cells_)}}),
+      // Stage 0 assembles cells from the DRAM word stream; later stages
+      // receive whole cells on the inter-stage channel and stage nothing.
+      reader_(sim, path, path + "/ctrl/stage0", dram.read_data(), fields_),
+      writer_(sim, path, dram.write_req(), fields_, cells_),
       mreg_(&sim.metrics()),
       s_req_bp_(mreg_->slot(path, "/stall/request_backpressure",
                             obs::MetricKind::Counter)),
@@ -45,13 +33,7 @@ CascadeTop::CascadeTop(sim::Simulator& sim, const std::string& path,
       s_kernel_bp_(mreg_->slot(path, "/stall/kernel_backpressure",
                                obs::MetricKind::Counter)),
       s_interstage_bp_(mreg_->slot(path, "/stall/interstage_backpressure",
-                                   obs::MetricKind::Counter)),
-      s_wb_bp_(mreg_->slot(path, "/stall/writeback_backpressure",
-                           obs::MetricKind::Counter)),
-      s_gather_staging_(mreg_->slot(path, "/gather_staging_cycles",
-                                    obs::MetricKind::Counter)),
-      s_wb_drain_(mreg_->slot(path, "/writeback_drain_cycles",
-                              obs::MetricKind::Counter)) {
+                                   obs::MetricKind::Counter)) {
   SMACHE_REQUIRE(depth >= 1 && passes >= 1);
   set_obs_name(path);
   SMACHE_REQUIRE_MSG(plan.static_buffers().empty(),
@@ -70,24 +52,13 @@ CascadeTop::CascadeTop(sim::Simulator& sim, const std::string& path,
     st.kernel = std::make_unique<KernelPipeline>(
         sim, "kernel/" + stage_id, kernel_spec, plan.shape().size(),
         cells_);
-    {
-      std::vector<sim::RegGroup<StageCtrl>::FieldCharge> scharges = {
-          {path + "/ctrl/" + stage_id + "/shifts",
-           smache::count_bits(cells_ + plan.window_len())},
-          {path + "/ctrl/" + stage_id + "/emit_next",
-           smache::count_bits(cells_)}};
-      // Stage 0 assembles cells from the DRAM word stream; later stages
-      // receive whole cells on the inter-stage channel and stage nothing.
-      if (fields_ > 1 && k == 0) {
-        scharges.push_back({path + "/ctrl/" + stage_id + "/in_fill",
-                            smache::count_bits(fields_)});
-        scharges.push_back(
-            {path + "/ctrl/" + stage_id + "/in_cell",
-             static_cast<std::uint32_t>((fields_ - 1) * kWordBits)});
-      }
-      st.ctrl = std::make_unique<sim::RegGroup<StageCtrl>>(sim, StageCtrl{},
-                                                           scharges);
-    }
+    st.ctrl = std::make_unique<sim::RegGroup<StageCtrl>>(
+        sim, StageCtrl{},
+        std::initializer_list<sim::RegGroup<StageCtrl>::FieldCharge>{
+            {path + "/ctrl/" + stage_id + "/shifts",
+             smache::count_bits(cells_ + plan.window_len())},
+            {path + "/ctrl/" + stage_id + "/emit_next",
+             smache::count_bits(cells_)}});
     st.input = k == 0 ? nullptr
                       : std::make_unique<sim::Fifo<CellMsg>>(
                             sim, path + "/ctrl/" + stage_id + "/input", 4,
@@ -134,36 +105,8 @@ bool CascadeTop::eval_stage(std::size_t k) {
     if (!st.kernel->in().can_push()) {
       mreg_->count(s_kernel_bp_);
     } else {
-      const auto& ops = case_plans_[case_of_cell_[emit_i]].ops;
-      // Staged in place; every elems[0..count) field is written below.
-      TupleMsg& msg = st.kernel->in().push_slot();
-      msg.index = emit_i;
-      msg.count = static_cast<std::uint32_t>(ops.size() * fields_);
-      for (std::size_t j = 0; j < ops.size(); ++j) {
-        const EmitOp& op = ops[j];
-        grid::TupleElem* dst = msg.elems.data() + j * fields_;
-        switch (op.kind) {
-          case EmitOp::Kind::Window:
-            // op.slot is the cell's field-0 register slot; fields are
-            // adjacent (see StreamBuffer::slot_of_age).
-            for (std::size_t f = 0; f < fields_; ++f)
-              dst[f] =
-                  grid::TupleElem{st.window->tap_slot(op.slot + f), true};
-            break;
-          case EmitOp::Kind::Constant:
-            for (std::size_t f = 0; f < fields_; ++f)
-              dst[f] = grid::TupleElem{op.constant, true};
-            break;
-          case EmitOp::Kind::Skip:
-            for (std::size_t f = 0; f < fields_; ++f)
-              dst[f] = grid::TupleElem{0, false};
-            break;
-          case EmitOp::Kind::Static:
-            SMACHE_ASSERT_MSG(false, "cascade plans never contain static "
-                                     "sources");
-            break;
-        }
-      }
+      emit_tuple(st.kernel->in().push_slot(), emit_i,
+                 case_plans_[case_of_cell_[emit_i]], *st.window, fields_);
       st.ctrl->d().emit_next = emit_i + 1;
       emitting = true;
       did_work = true;
@@ -182,23 +125,12 @@ bool CascadeTop::eval_stage(std::size_t k) {
       st.ctrl->d().shifts = n + 1;
       did_work = true;
     } else if (k == 0) {
-      // Stage 0 assembles one cell from the DRAM word stream. For F = 1
-      // the word IS the cell and shifts the same cycle it arrives (the
-      // original timing); F > 1 stages F-1 words, then shifts on the Fth.
-      if (dram_.read_data().can_pop()) {
-        const word_t v = dram_.read_data().pop();
-        const std::uint32_t fill = sc.in_fill;
-        if (fill + 1 == fields_) {
-          word_t cell[kMaxFields] = {};
-          for (std::uint32_t f = 0; f < fill; ++f) cell[f] = sc.in_cell[f];
-          cell[fill] = v;
+      // Stage 0 shifts on the arrival cycle of a cell's last DRAM word.
+      if (reader_.can_pop()) {
+        word_t cell[kMaxFields];
+        if (reader_.pop(cell)) {
           st.window->shift_cell(cell);
           st.ctrl->d().shifts = n + 1;
-          st.ctrl->d().in_fill = 0;
-        } else {
-          st.ctrl->d().in_cell[fill] = v;
-          st.ctrl->d().in_fill = fill + 1;
-          mreg_->count(s_gather_staging_);
         }
         did_work = true;
       } else {
@@ -218,57 +150,19 @@ bool CascadeTop::eval_stage(std::size_t k) {
   const bool last = k + 1 == stages_.size();
   if (last) {
     const Ctrl& c = ctrl_.q();
-    if (fields_ == 1) {
-      if (st.kernel->out().can_pop()) {
-        if (dram_.write_req().can_push()) {
-          const ResultMsg res = st.kernel->out().pop();
-          if (warmup_end_ == 0) warmup_end_ = sim_.now();
-          dram_.write_req().push(
-              mem::DramWriteReq{out_base() + res.index, res.values[0]});
-          ctrl_.d().wb_count = c.wb_count + 1;
-          did_work = true;
-          if (c.wb_count + 1 == cells_) {
-            top_.go(c.pass + 1 == passes_ ? Top::Done : Top::Gap);
-          }
-        } else {
-          mreg_->count(s_wb_bp_);
-        }
-      }
-    } else if (c.wb_field > 0) {
-      // Drain the staged result cell, one word per cycle (fields
-      // 1..F-1; field 0 went out on the pop cycle).
-      if (dram_.write_req().can_push()) {
-        dram_.write_req().push(
-            mem::DramWriteReq{out_base() + c.wb_index * fields_ + c.wb_field,
-                              c.wb_vals[c.wb_field]});
-        mreg_->count(s_wb_drain_);
-        did_work = true;
-        if (c.wb_field + 1 == static_cast<std::uint32_t>(fields_)) {
-          ctrl_.d().wb_field = 0;
-          ctrl_.d().wb_count = c.wb_count + 1;
-          if (c.wb_count + 1 == cells_)
-            top_.go(c.pass + 1 == passes_ ? Top::Done : Top::Gap);
-        } else {
-          ctrl_.d().wb_field = c.wb_field + 1;
-        }
-      } else {
-        mreg_->count(s_wb_bp_);
-      }
-    } else if (st.kernel->out().can_pop()) {
-      if (dram_.write_req().can_push()) {
-        const ResultMsg res = st.kernel->out().pop();
-        if (warmup_end_ == 0) warmup_end_ = sim_.now();
-        dram_.write_req().push(
-            mem::DramWriteReq{out_base() + res.index * fields_,
-                              res.values[0]});
-        Ctrl& d = ctrl_.d();
-        d.wb_index = res.index;
-        d.wb_vals = res.values;
-        d.wb_field = 1;
-        did_work = true;
-      } else {
-        mreg_->count(s_wb_bp_);
-      }
+    CellWriter::Step wb = CellWriter::Step::Idle;
+    if (writer_.draining()) {
+      wb = writer_.drain(out_base());
+    } else if (st.kernel->out().can_pop() && writer_.ready()) {
+      const ResultMsg res = st.kernel->out().pop();
+      if (warmup_end_ == 0) warmup_end_ = sim_.now();
+      wb = writer_.write(out_base(), res.index, res.values);
+    }
+    if (wb != CellWriter::Step::Idle) did_work = true;
+    if (wb == CellWriter::Step::Cell) {
+      ctrl_.d().wb_count = c.wb_count + 1;
+      if (c.wb_count + 1 == cells_)
+        top_.go(c.pass + 1 == passes_ ? Top::Done : Top::Gap);
     }
   } else {
     sim::Fifo<CellMsg>& next_in = *stages_[k + 1].input;
@@ -324,11 +218,9 @@ void CascadeTop::eval() {
         d.pass = c.pass + 1;
         d.req_issued = false;
         d.wb_count = 0;
-        d.wb_field = 0;
         for (auto& st : stages_) {
           st.ctrl->d().shifts = 0;
           st.ctrl->d().emit_next = 0;
-          st.ctrl->d().in_fill = 0;
         }
         top_.go(Top::Run);
       } else {

@@ -32,6 +32,7 @@
 #include "common/word.hpp"
 #include "mem/dram.hpp"
 #include "model/planner.hpp"
+#include "rtl/cell_port.hpp"
 #include "rtl/kernel_pipeline.hpp"
 #include "rtl/stream_buffer.hpp"
 #include "rtl/top_support.hpp"
@@ -77,14 +78,10 @@ class CascadeTop : public sim::Module {
   enum class Top : std::uint8_t { Run, Gap, Done };
 
   /// Per-stage gather progress counters, one state element per stage (a
-  /// single commit instead of one per counter; see sim::RegGroup). The
-  /// in_* staging fields are stage 0's DRAM word-to-cell assembly and are
-  /// only exercised — and only charged — for F > 1 cell layouts.
+  /// single commit instead of one per counter; see sim::RegGroup).
   struct StageCtrl {
     std::uint64_t shifts = 0;
     std::uint64_t emit_next = 0;
-    std::uint32_t in_fill = 0;
-    std::array<word_t, kMaxFields> in_cell{};
   };
 
   /// One cell on the inter-stage channel: F words, moved as one message
@@ -101,20 +98,15 @@ class CascadeTop : public sim::Module {
     std::unique_ptr<KernelPipeline> kernel;
     std::unique_ptr<sim::RegGroup<StageCtrl>> ctrl;
     // Between-stage channel carrying the previous kernel's output cells in
-    // cell order (stage 0 reads DRAM directly).
+    // cell order (stage 0 reads DRAM through the CellReader).
     std::unique_ptr<sim::Fifo<CellMsg>> input;
   };
 
   /// Pass-level controller registers, one state element (see sim::RegGroup).
-  /// The wb_* staging fields drain an F-word result cell to DRAM one word
-  /// per cycle; F = 1 never touches (or charges) them.
   struct Ctrl {
     std::uint64_t wb_count = 0;
     std::uint32_t pass = 0;
     bool req_issued = false;
-    std::uint32_t wb_field = 0;
-    std::uint64_t wb_index = 0;
-    std::array<word_t, kMaxFields> wb_vals{};
   };
 
   std::uint64_t in_base() const noexcept;
@@ -139,20 +131,24 @@ class CascadeTop : public sim::Module {
   std::vector<CasePlan> case_plans_;
   sim::FsmState<Top> top_;
   sim::RegGroup<Ctrl> ctrl_;
+  // DRAM-facing cell port: stage 0's input cells, the last stage's results.
+  CellReader reader_;
+  CellWriter writer_;
   // Behavioural observability only (like SmacheTop::warmup_end_): not a
   // hardware register, never charged to the ledger.
   std::uint64_t warmup_end_ = 0;
 
-  // -- observability: stalled-eval / staging-cycle counters, aggregated
-  // across stages (see SmacheTop for episode-vs-cycle semantics) --
+  // -- observability: stalled-eval counters, aggregated across stages
+  // (see SmacheTop for episode-vs-cycle semantics; the cell port counts its
+  // own staging, drain and write-back backpressure) --
   obs::MetricsRegistry* mreg_;
-  obs::MetricsRegistry::Slot s_req_bp_;          // read_req channel full
-  obs::MetricsRegistry::Slot s_dram_wait_;       // stage-0 data not ready
-  obs::MetricsRegistry::Slot s_kernel_bp_;       // a stage kernel in full
-  obs::MetricsRegistry::Slot s_interstage_bp_;   // next stage's input full
-  obs::MetricsRegistry::Slot s_wb_bp_;           // write_req channel full
-  obs::MetricsRegistry::Slot s_gather_staging_;  // F>1 cell-fill cycles
-  obs::MetricsRegistry::Slot s_wb_drain_;        // F>1 cell-drain cycles
+  obs::MetricsRegistry::Slot s_req_bp_;     // read_req channel full
+  obs::MetricsRegistry::Slot s_dram_wait_;  // stage-0 data not ready
+  obs::MetricsRegistry::Slot s_kernel_bp_;  // a stage kernel in full
+  // A stage's inter-stage channel blocked: the next stage's input is full
+  // (the kernel cannot hand on its result) or this stage's input is empty
+  // (a later stage waits for its predecessor's next cell).
+  obs::MetricsRegistry::Slot s_interstage_bp_;
 };
 
 }  // namespace smache::rtl

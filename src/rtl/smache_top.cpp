@@ -9,11 +9,8 @@ std::vector<sim::RegGroup<SmacheTop::Ctrl>::FieldCharge>
 SmacheTop::ctrl_charges(const std::string& path,
                         const model::BufferPlan& plan, std::size_t steps,
                         std::size_t cells, std::size_t fields) {
-  // For F = 1 this list is byte-identical to the original charge set (the
-  // warm_idx width is count_bits(width * 1)); F > 1 widens warm_idx to the
-  // row's word count. The gather/write-back staging registers F > 1 also
-  // needs live in their own state element (CellStage, constructed right
-  // after ctrl_) so the F = 1 commit stays the original width.
+  // warm_idx counts the words of one static row: width * F. The F > 1
+  // gather/write-back staging registers belong to the cell port.
   std::vector<sim::RegGroup<Ctrl>::FieldCharge> charges = {
       {path + "/ctrl/instance", smache::count_bits(steps)},
       {path + "/ctrl/shifts", smache::count_bits(cells + plan.window_len())},
@@ -49,35 +46,19 @@ SmacheTop::SmacheTop(sim::Simulator& sim, const std::string& path,
            plan.needs_warmup() ? Top::Warmup : Top::Run, 4),
       ctrl_(sim, Ctrl{},
             ctrl_charges(path, plan, steps, cells_, kernel_spec.fields())),
+      reader_(sim, path, path + "/ctrl", dram.read_data(), fields_),
+      writer_(sim, path, dram.write_req(), fields_, cells_),
       mreg_(&sim.metrics()),
       s_req_bp_(mreg_->slot(path, "/stall/request_backpressure",
                             obs::MetricKind::Counter)),
       s_dram_wait_(
           mreg_->slot(path, "/stall/dram_wait", obs::MetricKind::Counter)),
       s_kernel_bp_(mreg_->slot(path, "/stall/kernel_backpressure",
-                               obs::MetricKind::Counter)),
-      s_wb_bp_(mreg_->slot(path, "/stall/writeback_backpressure",
-                           obs::MetricKind::Counter)),
-      s_gather_staging_(mreg_->slot(path, "/gather_staging_cycles",
-                                    obs::MetricKind::Counter)),
-      s_wb_drain_(mreg_->slot(path, "/writeback_drain_cycles",
-                              obs::MetricKind::Counter)) {
+                               obs::MetricKind::Counter)) {
   SMACHE_REQUIRE(steps >= 1);
   set_obs_name(path);
   SMACHE_REQUIRE_MSG(dram.size_words() >= 2 * words_,
                      "DRAM must hold two grid regions (ping-pong)");
-  if (fields_ > 1) {
-    const auto stage_bits =
-        static_cast<std::uint32_t>((fields_ - 1) * kWordBits);
-    stage_ = std::make_unique<sim::RegGroup<CellStage>>(
-        sim, CellStage{},
-        std::vector<sim::RegGroup<CellStage>::FieldCharge>{
-            {path + "/ctrl/in_fill", smache::count_bits(fields_)},
-            {path + "/ctrl/in_cell", stage_bits},
-            {path + "/ctrl/wb_field", smache::count_bits(fields_)},
-            {path + "/ctrl/wb_index", smache::count_bits(cells_)},
-            {path + "/ctrl/wb_vals", stage_bits}});
-  }
   for (std::size_t b = 0; b < plan_.static_buffers().size(); ++b)
     warm_order_.push_back(b);
   // Activity gating: these channel commits are the only external events
@@ -203,64 +184,6 @@ void SmacheTop::issue_static_reads(std::uint64_t cell) {
   }
 }
 
-void SmacheTop::emit_tuple(std::uint64_t cell) {
-  const CasePlan& cp = case_plans_[case_of_cell_[cell]];
-
-  // Assemble the (wide) tuple directly in the channel's staging slot; the
-  // consumer reads exactly elems[0..count), which this loop fully writes.
-  // Tap-major layout: tap j's F fields land at elems[j*F .. j*F+F).
-  // Window slots are word bases (slot_of_age scales by F); static reads
-  // were issued cell-wide, so every field bank's rdata is live; constants
-  // and skips replicate across the cell's fields.
-  const std::size_t F = fields_;
-  TupleMsg& msg = kernel_.in().push_slot();
-  msg.index = cell;
-  msg.count = static_cast<std::uint32_t>(cp.ops.size() * F);
-  if (F == 1) {
-    // Single-word cells: per-cell hot loop, kept free of the field loops.
-    for (std::size_t j = 0; j < cp.ops.size(); ++j) {
-      const EmitOp& op = cp.ops[j];
-      switch (op.kind) {
-        case EmitOp::Kind::Window:
-          msg.elems[j] = grid::TupleElem{window_.tap_slot(op.slot), true};
-          break;
-        case EmitOp::Kind::Static:
-          msg.elems[j] = grid::TupleElem{op.bank->rdata(op.replica), true};
-          break;
-        case EmitOp::Kind::Constant:
-          msg.elems[j] = grid::TupleElem{op.constant, true};
-          break;
-        case EmitOp::Kind::Skip:
-          msg.elems[j] = grid::TupleElem{0, false};
-          break;
-      }
-    }
-    return;
-  }
-  for (std::size_t j = 0; j < cp.ops.size(); ++j) {
-    const EmitOp& op = cp.ops[j];
-    grid::TupleElem* e = msg.elems.data() + j * F;
-    switch (op.kind) {
-      case EmitOp::Kind::Window:
-        for (std::size_t f = 0; f < F; ++f)
-          e[f] = grid::TupleElem{window_.tap_slot(op.slot + f), true};
-        break;
-      case EmitOp::Kind::Static:
-        for (std::size_t f = 0; f < F; ++f)
-          e[f] = grid::TupleElem{op.bank->rdata(op.replica, f), true};
-        break;
-      case EmitOp::Kind::Constant:
-        for (std::size_t f = 0; f < F; ++f)
-          e[f] = grid::TupleElem{op.constant, true};
-        break;
-      case EmitOp::Kind::Skip:
-        for (std::size_t f = 0; f < F; ++f)
-          e[f] = grid::TupleElem{0, false};
-        break;
-    }
-  }
-}
-
 void SmacheTop::eval_run() {
   const Ctrl& c = ctrl_.q();
   const std::uint64_t n = c.shifts;
@@ -285,7 +208,8 @@ void SmacheTop::eval_run() {
   if (emit_i < cells_ && n >= emit_i + center &&
       c.rdata_center == static_cast<std::int64_t>(emit_i)) {
     if (kernel_.in().can_push()) {
-      emit_tuple(emit_i);
+      emit_tuple(kernel_.in().push_slot(), emit_i,
+                 case_plans_[case_of_cell_[emit_i]], window_, fields_);
       ctrl_.d().emit_next = emit_i + 1;
       emitting = true;
       did_work = true;
@@ -307,115 +231,49 @@ void SmacheTop::eval_run() {
   }
 
   // -- FSM-2d: window shift. A shift moves one whole CELL into the
-  // window; for F > 1 the cell's words arrive from DRAM one per cycle and
-  // stage in ctrl.in_cell until the F-th word completes the cell (the
-  // shift fires on that word's arrival cycle). F = 1 degenerates to the
-  // original pop-and-shift-same-cycle datapath, bit- and cycle-exact. --
+  // window, on the arrival cycle of the cell's last DRAM word; past the
+  // last real cell, zero cells flush the window. --
   const std::uint64_t emit_eff = emitting ? emit_i + 1 : emit_i;
   const bool more_shifts = n < cells_ - 1 + center;
   const bool window_room = n < emit_eff + center;
   if (more_shifts && window_room) {
-    if (fields_ == 1) {
-      // Single-word cells: the original pop-and-shift-same-cycle datapath.
-      const bool data_ok = n < cells_ ? dram_.read_data().can_pop() : true;
-      if (data_ok) {
-        const word_t in = n < cells_ ? dram_.read_data().pop() : word_t{0};
-        window_.shift_cell(&in);
-        ctrl_.d().shifts = n + 1;
-        did_work = true;
-      } else {
-        mreg_->count(s_dram_wait_);
-      }
-    } else if (n < cells_) {
-      if (dram_.read_data().can_pop()) {
-        const word_t v = dram_.read_data().pop();
-        const CellStage& st = stage_->q();
-        const std::uint32_t fill = st.in_fill;
-        if (fill + 1 == fields_) {
-          word_t cell[kMaxFields];
-          for (std::uint32_t f = 0; f < fill; ++f) cell[f] = st.in_cell[f];
-          cell[fill] = v;
-          window_.shift_cell(cell);
-          ctrl_.d().shifts = n + 1;
-          stage_->d().in_fill = 0;
-        } else {
-          stage_->d().in_cell[fill] = v;
-          stage_->d().in_fill = fill + 1;
-          mreg_->count(s_gather_staging_);
-        }
-        did_work = true;
-      } else {
-        mreg_->count(s_dram_wait_);
-      }
-    } else {
-      // Post-data flush: push zero cells until the window drains.
+    if (n >= cells_) {
       const word_t zero_cell[kMaxFields] = {};
       window_.shift_cell(zero_cell);
       ctrl_.d().shifts = n + 1;
       did_work = true;
+    } else if (reader_.can_pop()) {
+      word_t cell[kMaxFields];
+      if (reader_.pop(cell)) {
+        window_.shift_cell(cell);
+        ctrl_.d().shifts = n + 1;
+      }
+      did_work = true;
+    } else {
+      mreg_->count(s_dram_wait_);
     }
   }
 
   // -- FSM-3: write-back + shadow capture. The kernel retires one result
-  // CELL per pop; DRAM takes one word per cycle, so F > 1 stages the cell
-  // in ctrl.wb_* and drains fields 1..F-1 on the following cycles (the
-  // capture path stores the whole cell on the pop cycle — on-chip banks
-  // are word-parallel). wb_count counts completed cells. --
-  if (fields_ == 1) {
-    if (kernel_.out().can_pop()) {
-      if (dram_.write_req().can_push()) {
-        const ResultMsg res = kernel_.out().pop();
-        dram_.write_req().push(
-            mem::DramWriteReq{out_base() + res.index, res.values[0]});
-        const std::uint32_t row = row_of_cell_[res.index];
-        if (capture_row_[row])
-          statics_.capture_output(row, col_of_cell_[res.index],
-                                  res.values[0]);
-        ctrl_.d().wb_count = c.wb_count + 1;
-        did_work = true;
-        if (c.wb_count + 1 == cells_) {
-          top_.go(c.instance + 1 == steps_ ? Top::Done : Top::Swap);
-        }
-      } else {
-        mreg_->count(s_wb_bp_);
-      }
-    }
-  } else if (stage_->q().wb_field > 0) {
-    if (dram_.write_req().can_push()) {
-      const CellStage& st = stage_->q();
-      dram_.write_req().push(mem::DramWriteReq{
-          out_base() + st.wb_index * fields_ + st.wb_field,
-          st.wb_vals[st.wb_field]});
-      mreg_->count(s_wb_drain_);
-      did_work = true;
-      if (st.wb_field + 1 == fields_) {
-        stage_->d().wb_field = 0;
-        ctrl_.d().wb_count = c.wb_count + 1;
-        if (c.wb_count + 1 == cells_) {
-          top_.go(c.instance + 1 == steps_ ? Top::Done : Top::Swap);
-        }
-      } else {
-        stage_->d().wb_field = st.wb_field + 1;
-      }
-    } else {
-      mreg_->count(s_wb_bp_);
-    }
-  } else if (kernel_.out().can_pop()) {
-    if (dram_.write_req().can_push()) {
-      const ResultMsg res = kernel_.out().pop();
-      dram_.write_req().push(mem::DramWriteReq{
-          out_base() + res.index * fields_, res.values[0]});
-      const std::uint32_t row = row_of_cell_[res.index];
-      if (capture_row_[row])
-        statics_.capture_output_cell(row, col_of_cell_[res.index],
-                                     res.values.data());
-      stage_->d().wb_index = res.index;
-      stage_->d().wb_vals = res.values;
-      stage_->d().wb_field = 1;
-      did_work = true;
-    } else {
-      mreg_->count(s_wb_bp_);
-    }
+  // CELL per pop and the writer posts it to DRAM one word per cycle; the
+  // capture path stores the whole cell on the pop cycle (on-chip banks are
+  // word-parallel). wb_count counts fully written cells. --
+  CellWriter::Step wb = CellWriter::Step::Idle;
+  if (writer_.draining()) {
+    wb = writer_.drain(out_base());
+  } else if (kernel_.out().can_pop() && writer_.ready()) {
+    const ResultMsg res = kernel_.out().pop();
+    const std::uint32_t row = row_of_cell_[res.index];
+    if (capture_row_[row])
+      statics_.capture_output_cell(row, col_of_cell_[res.index],
+                                   res.values.data());
+    wb = writer_.write(out_base(), res.index, res.values);
+  }
+  if (wb != CellWriter::Step::Idle) did_work = true;
+  if (wb == CellWriter::Step::Cell) {
+    ctrl_.d().wb_count = c.wb_count + 1;
+    if (c.wb_count + 1 == cells_)
+      top_.go(c.instance + 1 == steps_ ? Top::Done : Top::Swap);
   }
 
   // Starved: every blocker above is an external channel condition (data
@@ -447,10 +305,6 @@ void SmacheTop::eval_swap() {
   d.rdata_center = -1;
   d.req_issued = false;
   d.wb_count = 0;
-  if (stage_) {
-    stage_->d().in_fill = 0;
-    stage_->d().wb_field = 0;
-  }
   top_.go(Top::Run);
 }
 

@@ -12,26 +12,24 @@
 //     amortised over all later instances.
 //
 //   FSM-2 (gather): issues one whole-grid burst read per instance, shifts
-//     the arriving words through the stream buffer, and emits one stencil
-//     tuple per cycle to the kernel: window taps are combinational register
-//     reads; static-buffer taps were issued one cycle earlier (synchronous
-//     BRAM read) by the same FSM's pre-issue stage; constants and skips
-//     come from the gather table. Back-pressure from the kernel freezes
-//     shifting so tap alignment is never lost.
+//     the arriving cells (CellReader) through the stream buffer, and emits
+//     one stencil tuple per cycle to the kernel: window taps are
+//     combinational register reads; static-buffer taps were issued one
+//     cycle earlier (synchronous BRAM read) by the same FSM's pre-issue
+//     stage; constants and skips come from the gather table. Back-pressure
+//     from the kernel freezes shifting so tap alignment is never lost.
 //
 //   FSM-3 (write-back): drains kernel results to the DRAM write channel
-//     and write-through-captures results landing in static-buffer rows
-//     into the SHADOW copies, so the next instance's boundary data is
-//     already on chip when the buffers swap.
+//     (CellWriter) and write-through-captures results landing in
+//     static-buffer rows into the SHADOW copies, so the next instance's
+//     boundary data is already on chip when the buffers swap.
 //
 // Work-instances ping-pong between two DRAM regions (in/out). The SWAP
 // state waits for the write channel to drain (a memory fence) before
 // flipping regions and double buffers.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -39,6 +37,7 @@
 #include "grid/zones.hpp"
 #include "mem/dram.hpp"
 #include "model/planner.hpp"
+#include "rtl/cell_port.hpp"
 #include "rtl/kernel_pipeline.hpp"
 #include "rtl/static_buffer.hpp"
 #include "rtl/stream_buffer.hpp"
@@ -88,8 +87,7 @@ class SmacheTop : public sim::Module {
   /// All controller registers as one state element (single commit per
   /// cycle). Field paths/widths are charged to the ledger exactly like the
   /// discrete Regs they replace; hold semantics are identical (see
-  /// sim::RegGroup). The multi-field staging fields (in_*, wb_*) are only
-  /// exercised — and only charged — when the cell layout has F > 1.
+  /// sim::RegGroup).
   struct Ctrl {
     std::uint64_t shifts = 0;
     std::uint64_t emit_next = 0;
@@ -102,21 +100,6 @@ class SmacheTop : public sim::Module {
     bool warm_req = false;
   };
 
-  /// F > 1 cell staging, a SEPARATE state element from Ctrl so the F = 1
-  /// controller's per-cycle block-copy commit keeps its original width
-  /// (this runs every cycle of every simulation — single-word cells must
-  /// not pay for multi-word state they never hold).
-  struct CellStage {
-    // Gather staging: words of the partially-arrived input cell.
-    std::uint32_t in_fill = 0;
-    std::array<word_t, kMaxFields> in_cell{};
-    // Write-back staging: the popped result cell drains to DRAM one word
-    // per cycle (fields 1..F-1 after the pop cycle's field 0).
-    std::uint32_t wb_field = 0;
-    std::uint64_t wb_index = 0;
-    std::array<word_t, kMaxFields> wb_vals{};
-  };
-
   static std::vector<sim::RegGroup<Ctrl>::FieldCharge> ctrl_charges(
       const std::string& path, const model::BufferPlan& plan,
       std::size_t steps, std::size_t cells, std::size_t fields);
@@ -127,7 +110,6 @@ class SmacheTop : public sim::Module {
   void eval_warmup();
   void eval_run();
   void eval_swap();
-  void emit_tuple(std::uint64_t cell);
   void issue_static_reads(std::uint64_t cell);
 
   const model::BufferPlan plan_;
@@ -146,8 +128,9 @@ class SmacheTop : public sim::Module {
   // Controller state (all charged under <path>/ctrl).
   sim::FsmState<Top> top_;
   sim::RegGroup<Ctrl> ctrl_;
-  // Cell staging registers, only instantiated for multi-word cells.
-  std::unique_ptr<sim::RegGroup<CellStage>> stage_;
+  // DRAM-facing cell port: FSM-2's input cells, FSM-3's result cells.
+  CellReader reader_;
+  CellWriter writer_;
 
   std::uint64_t warmup_end_ = 0;
   // Warm-up bank order (indices into statics_, write-through first).
@@ -167,17 +150,15 @@ class SmacheTop : public sim::Module {
   // the capture call for every other row).
   std::vector<std::uint8_t> capture_row_;
 
-  // -- observability: stalled-eval / staging-cycle counters. With gating
-  // on, a fully starved controller sleeps, so a counter ticks once per
-  // stalled eval (one per cycle only while some other FSM keeps the
-  // module awake); the stall DURATION shows up as scheduler asleep time.
+  // -- observability: stalled-eval counters (the cell port counts its own
+  // staging, drain and write-back backpressure). With gating on, a fully
+  // starved controller sleeps, so a counter ticks once per stalled eval
+  // (one per cycle only while some other FSM keeps the module awake); the
+  // stall DURATION shows up as scheduler asleep time.
   obs::MetricsRegistry* mreg_;
-  obs::MetricsRegistry::Slot s_req_bp_;          // read_req channel full
-  obs::MetricsRegistry::Slot s_dram_wait_;       // read_data not ready
-  obs::MetricsRegistry::Slot s_kernel_bp_;       // kernel input full
-  obs::MetricsRegistry::Slot s_wb_bp_;           // write_req channel full
-  obs::MetricsRegistry::Slot s_gather_staging_;  // F>1 cell-fill cycles
-  obs::MetricsRegistry::Slot s_wb_drain_;        // F>1 cell-drain cycles
+  obs::MetricsRegistry::Slot s_req_bp_;     // read_req channel full
+  obs::MetricsRegistry::Slot s_dram_wait_;  // read_data not ready
+  obs::MetricsRegistry::Slot s_kernel_bp_;  // kernel input full
 };
 
 }  // namespace smache::rtl

@@ -47,13 +47,6 @@ word_t StaticBufferBank::rdata(std::size_t replica,
   return static_cast<word_t>(bank(replica, /*shadow=*/false, field).rdata());
 }
 
-void StaticBufferBank::shadow_write(std::size_t index, word_t value) {
-  const std::size_t cell = index / fields_;
-  const std::size_t field = index % fields_;
-  for (std::size_t r = 0; r < spec_.replicas; ++r)
-    bank(r, /*shadow=*/true, field).write(cell, value);
-}
-
 void StaticBufferBank::shadow_write_cell(std::size_t cell_index,
                                          const word_t* cell) {
   for (std::size_t r = 0; r < spec_.replicas; ++r)
@@ -91,13 +84,6 @@ StaticBufferBank& StaticBufferSet::bank(std::size_t i) {
 const StaticBufferBank& StaticBufferSet::bank(std::size_t i) const {
   SMACHE_REQUIRE(i < banks_.size());
   return *banks_[i];
-}
-
-void StaticBufferSet::capture_output(std::size_t row, std::size_t col,
-                                     word_t value) {
-  for (auto& b : banks_)
-    if (b->spec().write_through && b->spec().grid_row == row)
-      b->shadow_write(col, value);
 }
 
 void StaticBufferSet::capture_output_cell(std::size_t row, std::size_t col,

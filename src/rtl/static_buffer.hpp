@@ -49,11 +49,8 @@ class StaticBufferBank {
   void read(std::size_t replica, std::size_t index);
   word_t rdata(std::size_t replica, std::size_t field = 0) const;
 
-  /// FSM-3 write-through: store one output-grid WORD (cell * F + field)
-  /// into the SHADOW copy of every replica.
-  void shadow_write(std::size_t index, word_t value);
-
-  /// Cell-wide shadow write: all F words of `cell` at cell `cell_index`.
+  /// FSM-3 write-through: store all F words of output-grid `cell` at cell
+  /// `cell_index` into the SHADOW copy of every replica.
   void shadow_write_cell(std::size_t cell_index, const word_t* cell);
 
   /// FSM-1 warm-up / prefetch: store one input-grid WORD (cell * F +
@@ -90,11 +87,8 @@ class StaticBufferSet {
   StaticBufferBank& bank(std::size_t i);
   const StaticBufferBank& bank(std::size_t i) const;
 
-  /// Banks whose grid_row matches `row` receive this output element via
-  /// write-through (FSM-3 capture path). Single-field form.
-  void capture_output(std::size_t row, std::size_t col, word_t value);
-
-  /// Cell-wide capture: all F words of the output cell at (row, col).
+  /// FSM-3 capture path: banks whose grid_row matches `row` receive all F
+  /// words of the output cell at (row, col) via write-through.
   void capture_output_cell(std::size_t row, std::size_t col,
                            const word_t* cell);
 

@@ -1,7 +1,7 @@
 // Helpers shared by the three top-level designs (Smache, baseline,
 // cascade): the completion lower bound that drives batched polling, the
-// behavioural cell -> case lookup table, and the pre-resolved per-case
-// gather plans the stream-fed tops emit from.
+// behavioural cell -> case lookup table, the pre-resolved per-case gather
+// plans the stream-fed tops emit from, and the tuple emission itself.
 #pragma once
 
 #include <cstdint>
@@ -10,6 +10,7 @@
 #include "common/assert.hpp"
 #include "grid/zones.hpp"
 #include "model/planner.hpp"
+#include "rtl/kernel_pipeline.hpp"
 #include "rtl/static_buffer.hpp"
 #include "rtl/stream_buffer.hpp"
 
@@ -113,6 +114,62 @@ inline std::vector<CasePlan> build_case_plans(const model::BufferPlan& plan,
     }
   }
   return plans;
+}
+
+/// Assemble cell `cell`'s stencil tuple from its case plan directly in
+/// `msg`, a kernel input channel's staging slot: the consumer reads exactly
+/// elems[0..count), which this fully writes. Tap-major layout: tap j's F
+/// fields land at elems[j*F .. j*F+F). Window slots are word bases
+/// (slot_of_age scales by F); static reads were issued cell-wide, so every
+/// field bank's rdata is live; constants and skips replicate across the
+/// cell's fields.
+inline void emit_tuple(TupleMsg& msg, std::uint64_t cell, const CasePlan& cp,
+                       const StreamBuffer& window, std::size_t fields) {
+  msg.index = cell;
+  msg.count = static_cast<std::uint32_t>(cp.ops.size() * fields);
+  if (fields == 1) {
+    // Single-word cells: per-cell hot loop, kept free of the field loops.
+    for (std::size_t j = 0; j < cp.ops.size(); ++j) {
+      const EmitOp& op = cp.ops[j];
+      switch (op.kind) {
+        case EmitOp::Kind::Window:
+          msg.elems[j] = grid::TupleElem{window.tap_slot(op.slot), true};
+          break;
+        case EmitOp::Kind::Static:
+          msg.elems[j] = grid::TupleElem{op.bank->rdata(op.replica), true};
+          break;
+        case EmitOp::Kind::Constant:
+          msg.elems[j] = grid::TupleElem{op.constant, true};
+          break;
+        case EmitOp::Kind::Skip:
+          msg.elems[j] = grid::TupleElem{0, false};
+          break;
+      }
+    }
+    return;
+  }
+  for (std::size_t j = 0; j < cp.ops.size(); ++j) {
+    const EmitOp& op = cp.ops[j];
+    grid::TupleElem* e = msg.elems.data() + j * fields;
+    switch (op.kind) {
+      case EmitOp::Kind::Window:
+        for (std::size_t f = 0; f < fields; ++f)
+          e[f] = grid::TupleElem{window.tap_slot(op.slot + f), true};
+        break;
+      case EmitOp::Kind::Static:
+        for (std::size_t f = 0; f < fields; ++f)
+          e[f] = grid::TupleElem{op.bank->rdata(op.replica, f), true};
+        break;
+      case EmitOp::Kind::Constant:
+        for (std::size_t f = 0; f < fields; ++f)
+          e[f] = grid::TupleElem{op.constant, true};
+        break;
+      case EmitOp::Kind::Skip:
+        for (std::size_t f = 0; f < fields; ++f)
+          e[f] = grid::TupleElem{0, false};
+        break;
+    }
+  }
 }
 
 }  // namespace smache::rtl

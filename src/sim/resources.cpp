@@ -44,18 +44,6 @@ std::uint64_t ResourceLedger::total(ResKind kind,
   return sum;
 }
 
-std::vector<ResEntry> ResourceLedger::entries(std::string_view prefix) const {
-  std::vector<ResEntry> out;
-  for (const auto& s : slots_) {
-    if (!prefix_matches(*s.path, prefix)) continue;
-    for (std::size_t k = 0; k < kResKindCount; ++k)
-      if (s.amount[k] != 0)
-        out.push_back(
-            ResEntry{*s.path, static_cast<ResKind>(k), s.amount[k]});
-  }
-  return out;
-}
-
 std::string ResourceLedger::report() const {
   // Aggregate by first path segment.
   struct Sums {

@@ -31,12 +31,6 @@ enum class ResKind { RegisterBits, BramBits, BramBlocks };
 
 inline constexpr std::size_t kResKindCount = 3;
 
-struct ResEntry {
-  std::string path;
-  ResKind kind;
-  std::uint64_t amount;
-};
-
 /// Intern `path` in the process-wide path pool and return its canonical
 /// string (stable for the process lifetime). Thread-safe; the pool is
 /// bounded by the number of DISTINCT hierarchy paths ever charged, not by
@@ -53,10 +47,6 @@ class ResourceLedger {
   /// ("" sums everything). Prefix matching is segment-aware: "a/b" matches
   /// "a/b" and "a/b/c" but not "a/bc".
   std::uint64_t total(ResKind kind, std::string_view prefix = "") const;
-
-  /// All accumulated (path, kind) sums under a prefix, one entry per pair,
-  /// in first-charge path order (for detailed reports).
-  std::vector<ResEntry> entries(std::string_view prefix = "") const;
 
   /// Multi-line human-readable report of totals per top-level group.
   std::string report() const;

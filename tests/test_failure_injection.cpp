@@ -4,12 +4,15 @@
 // paper's AXI4-Stream interface provides.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/rng.hpp"
 #include "core/engine.hpp"
 #include "support/test_grids.hpp"
 #include "sweep/executor.hpp"
 #include "sweep/faults.hpp"
 #include "sweep/spec.hpp"
+#include "sweep/workloads.hpp"
 
 namespace smache {
 namespace {
@@ -77,6 +80,45 @@ TEST(FailureInjection, TinyQueuesOnlyCostCycles) {
     opts.dram.write_queue_depth = 1;
     const auto res = Engine(opts).run(p, init);
     EXPECT_EQ(res.output, expected) << to_string(arch);
+  }
+  // Multi-word cells: every top stages F-word cells through one-word DRAM
+  // channels, so queues of 1-3 slots, with and without stalls, block the
+  // gather staging and the write-back drain at every field position.
+  for (const char* kernel : {"hotspot", "fdtd"}) {
+    ProblemSpec pf;
+    pf.height = 10;
+    pf.width = 12;
+    pf.shape = sweep::make_stencil("star5");
+    pf.bc = grid::BoundarySpec::all_open();
+    pf.kernel = sweep::make_kernel(kernel);
+    pf.steps = 2;
+    const auto finit = sweep::make_input(
+        std::string(kernel) == "hotspot" ? "hotspot-chip" : "fdtd-cavity", 10,
+        12, 1, 35);
+    const auto fexpected = reference_run(pf, finit);
+    for (const char* top : {"smache", "cascade", "baseline"}) {
+      for (std::uint32_t q = 1; q <= 3; ++q) {
+        for (const bool stall : {false, true}) {
+          EngineOptions opts = std::string(top) == "baseline"
+                                   ? EngineOptions::baseline()
+                                   : EngineOptions::smache();
+          opts.dram.req_queue_depth = q;
+          opts.dram.data_queue_depth = q;
+          opts.dram.write_queue_depth = q;
+          if (stall) {
+            opts.dram.stall_every = 7;
+            opts.dram.stall_cycles = 3;
+          }
+          const Engine engine(opts);
+          const auto res = std::string(top) == "cascade"
+                               ? engine.run_cascade(pf, finit, 2)
+                               : engine.run(pf, finit);
+          EXPECT_EQ(res.output, fexpected)
+              << top << " " << kernel << " queues=" << q
+              << " stall=" << stall;
+        }
+      }
+    }
   }
 }
 

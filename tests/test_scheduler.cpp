@@ -21,6 +21,7 @@
 #include "sim/fifo.hpp"
 #include "sim/simulator.hpp"
 #include "support/test_grids.hpp"
+#include "sweep/workloads.hpp"
 
 namespace smache {
 namespace {
@@ -265,6 +266,52 @@ TEST(SchedulerEquivalence, CascadeGatedMatchesForced) {
   const auto init = test_support::random_grid(10, 10, 4711);
   expect_same(digest(Engine(opts).run_cascade(p, init, 3)),
               digest(Engine(forced).run_cascade(p, init, 3)), "cascade");
+}
+
+TEST(SchedulerEquivalence, MultiFieldTinyQueuesGatedMatchesForced) {
+  // F-word cells cross one-word DRAM channels through each top's gather
+  // staging and write-back drain; with 1-3 slot queues, stalls on and off,
+  // their sleep/wake paths must be as exact as the single-word datapath.
+  for (const char* kernel : {"hotspot", "fdtd"}) {
+    ProblemSpec p;
+    p.height = 10;
+    p.width = 12;
+    p.shape = sweep::make_stencil("star5");
+    p.bc = grid::BoundarySpec::all_open();
+    p.kernel = sweep::make_kernel(kernel);
+    p.steps = 2;
+    const auto init = sweep::make_input(
+        std::string(kernel) == "hotspot" ? "hotspot-chip" : "fdtd-cavity", 10,
+        12, 1, 4712);
+    for (const char* top : {"smache", "cascade", "baseline"}) {
+      for (std::uint32_t q = 1; q <= 3; ++q) {
+        for (const bool stall : {false, true}) {
+          EngineOptions opts = std::string(top) == "baseline"
+                                   ? EngineOptions::baseline()
+                                   : EngineOptions::smache();
+          opts.dram.req_queue_depth = q;
+          opts.dram.data_queue_depth = q;
+          opts.dram.write_queue_depth = q;
+          if (stall) {
+            opts.dram.stall_every = 13;
+            opts.dram.stall_cycles = 4;
+          }
+          EngineOptions forced = opts;
+          forced.force_eval_all = true;
+          const auto run = [&](const EngineOptions& o) {
+            const Engine engine(o);
+            return digest(std::string(top) == "cascade"
+                              ? engine.run_cascade(p, init, 2)
+                              : engine.run(p, init));
+          };
+          expect_same(run(opts), run(forced),
+                      std::string(top) + " " + kernel +
+                          " queues=" + std::to_string(q) +
+                          " stall=" + std::to_string(stall));
+        }
+      }
+    }
+  }
 }
 
 TEST(SchedulerEquivalence, DdrLikeRowModelGatedMatchesForced) {

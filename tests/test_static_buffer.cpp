@@ -35,7 +35,8 @@ TEST(StaticBuffer, ShadowInvisibleUntilSwap) {
   StaticBufferBank bank(sim, "b", make_spec(0, 4, 1));
   bank.active_write(0, 1);
   sim.step();
-  bank.shadow_write(0, 2);
+  const word_t captured = 2;
+  bank.shadow_write_cell(0, &captured);
   sim.step();
   bank.read(0, 0);
   sim.step();
@@ -52,7 +53,8 @@ TEST(StaticBuffer, DoubleSwapRestoresOriginal) {
   StaticBufferBank bank(sim, "b", make_spec(0, 4, 1));
   bank.active_write(1, 10);
   sim.step();
-  bank.shadow_write(1, 20);
+  const word_t captured = 20;
+  bank.shadow_write_cell(1, &captured);
   sim.step();
   bank.swap();
   sim.step();
@@ -104,12 +106,13 @@ TEST(StaticBufferSet, CaptureRoutesByRow) {
       grid::BoundarySpec::paper_example());
   StaticBufferSet set(sim, "top", plan);
   ASSERT_EQ(set.count(), 2u);
-  // Capture into row 0 and row 10 and an uninteresting row.
-  set.capture_output(0, 4, 111);
+  // Capture one-word cells into row 0 and row 10 and an uninteresting row.
+  const word_t top = 111, bottom = 222, elsewhere = 999;
+  set.capture_output_cell(0, 4, &top);
   sim.step();
-  set.capture_output(10, 4, 222);
+  set.capture_output_cell(10, 4, &bottom);
   sim.step();
-  set.capture_output(5, 4, 999);  // no bank holds row 5: must be a no-op
+  set.capture_output_cell(5, 4, &elsewhere);  // no bank holds row 5: no-op
   sim.step();
   set.swap_all();
   sim.step();
