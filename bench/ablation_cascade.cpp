@@ -37,11 +37,12 @@ int main() {
   opts.threads = smache::threads_from_env("SMACHE_SWEEP_THREADS", 0);
   opts.verify_reference = true;
 
-  // The warmup column means different things across rows: K=1 runs the
-  // per-instance SmacheTop, whose warmup is the static-prefetch phase (0
-  // here — open boundaries have nothing to prefetch), while K>1 rows
-  // report CascadeTop's pipeline fill (cycle of the first writeback),
-  // which grows with K. They are not one curve.
+  // The warmup column means different things across rows. Every row runs
+  // SmacheTop with K chained stages: at K=1 its warmup is the
+  // static-prefetch phase (0 here — open boundaries have nothing to
+  // prefetch), while K>1 rows report the pipeline fill of the chain
+  // (cycle of the first writeback), which grows with K. They are not one
+  // curve.
   smache::TextTable t({"fused depth K", "passes", "cycles",
                        "warmup (see note)", "DRAM traffic KiB",
                        "traffic vs K=1", "on-chip window bits", "correct"});
@@ -68,9 +69,9 @@ int main() {
   }
   std::printf("%s\n", t.to_ascii().c_str());
   std::printf("note: warmup is SmacheTop's static-prefetch phase for K=1 "
-              "(0 with open boundaries) and CascadeTop's pipeline fill "
-              "(first-writeback cycle) for K>1 — two different "
-              "quantities, not one curve.\n");
+              "(0 with open boundaries) and the pipeline fill of its K "
+              "chained stages (first-writeback cycle) for K>1 — two "
+              "different quantities, not one curve.\n");
   std::printf("expected shape: traffic scales as 1/K while on-chip bits "
               "scale as K — the classic temporal-blocking trade combined "
               "with Smache's streaming window.\n");

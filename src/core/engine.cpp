@@ -11,7 +11,6 @@
 #include "mem/dram.hpp"
 #include "obs/perfetto.hpp"
 #include "rtl/baseline_top.hpp"
-#include "rtl/cascade_top.hpp"
 #include "rtl/smache_top.hpp"
 #include "sim/simulator.hpp"
 
@@ -123,11 +122,11 @@ model::BufferPlan Engine::plan_only(const ProblemSpec& problem) const {
 
 RunResult Engine::run(const ProblemSpec& problem,
                       const grid::Grid<word_t>& initial) const {
-  return execute(problem, &initial, 0);
+  return execute(problem, &initial, 1);
 }
 
 RunResult Engine::elaborate_only(const ProblemSpec& problem) const {
-  return execute(problem, nullptr, 0);
+  return execute(problem, nullptr, 1);
 }
 
 RunResult Engine::run_cascade(const ProblemSpec& problem,
@@ -140,10 +139,10 @@ RunResult Engine::run_cascade(const ProblemSpec& problem,
 
 RunResult Engine::execute(const ProblemSpec& problem,
                           const grid::Grid<word_t>* initial,
-                          std::size_t cascade_depth) const {
+                          std::size_t depth) const {
   problem.validate();
   if (initial != nullptr) require_matching_initial(problem, *initial);
-  const bool cascade = cascade_depth > 0;
+  const bool fused = depth > 1;
   const CellLayout layout{problem.kernel.fields()};
   // Validated against size_t wrap before anything sizes a buffer by it.
   const std::size_t grid_words = grid::Grid<word_t>::checked_words(
@@ -157,7 +156,7 @@ RunResult Engine::execute(const ProblemSpec& problem,
   if (options_.trace) sim.enable_spans();
   mem::DramConfig dcfg = options_.dram;
   if (options_.auto_bus)
-    dcfg.shared_bus = !cascade && options_.arch == Architecture::Baseline;
+    dcfg.shared_bus = !fused && options_.arch == Architecture::Baseline;
   mem::DramModel dram(sim, "dram", 2 * grid_words, dcfg);
 
   if (initial != nullptr) {
@@ -167,7 +166,7 @@ RunResult Engine::execute(const ProblemSpec& problem,
   }
 
   RunResult result;
-  result.arch = cascade ? Architecture::Smache : options_.arch;
+  result.arch = fused ? Architecture::Smache : options_.arch;
 
   // Run the elaborated top (when there is input to run on), measure its
   // ledger subtree and finalise observability — inside the top's lifetime,
@@ -201,7 +200,7 @@ RunResult Engine::execute(const ProblemSpec& problem,
     }
   };
 
-  if (!cascade && options_.arch == Architecture::Baseline) {
+  if (!fused && options_.arch == Architecture::Baseline) {
     rtl::BaselineTop top(sim, "baseline", problem.height, problem.width,
                          problem.shape, problem.bc, problem.kernel, dram,
                          problem.steps, problem.depth);
@@ -216,18 +215,13 @@ RunResult Engine::execute(const ProblemSpec& problem,
     result.estimate = cost::estimate_memory(
         plan, static_cast<std::uint32_t>(kWordBits * layout.fields));
     result.timing = cost::estimate_smache_timing(plan);
-    if (cascade) {
-      // The cascade replicates the stream buffer per fused step.
-      result.estimate->r_stream *= cascade_depth;
-      result.estimate->b_stream *= cascade_depth;
-      rtl::CascadeTop top(sim, "cascade", plan, problem.kernel, dram,
-                          cascade_depth, problem.steps / cascade_depth);
-      simulate(top, "cascade");
-    } else {
-      rtl::SmacheTop top(sim, "smache", plan, problem.kernel, dram,
-                         problem.steps);
-      simulate(top, "smache");
-    }
+    // One stream buffer per fused step.
+    result.estimate->r_stream *= depth;
+    result.estimate->b_stream *= depth;
+    const char* root = fused ? "cascade" : "smache";
+    rtl::SmacheTop top(sim, root, plan, problem.kernel, dram, problem.steps,
+                       depth);
+    simulate(top, root);
     result.plan = std::move(plan);
   }
   result.dram = dram.stats();
@@ -242,11 +236,8 @@ RunResult Engine::run_tiled(const ProblemSpec& problem,
   require_matching_initial(problem, initial);
   SMACHE_REQUIRE_MSG(tiling.depth >= 1 && problem.steps % tiling.depth == 0,
                      "steps must be a multiple of the tiling depth");
-  // Depth 1 is the per-instance top; deeper tilings run each tile (or the
-  // whole grid, for a 1x1 mesh) as a depth-deep cascade.
-  const std::size_t cascade_depth = tiling.depth > 1 ? tiling.depth : 0;
   if (tiling.tiles_r == 1 && tiling.tiles_c == 1 && tiling.tiles_s == 1)
-    return execute(problem, &initial, cascade_depth);
+    return execute(problem, &initial, tiling.depth);
   SMACHE_REQUIRE_MSG(!options_.trace,
                      "span/trace export is per-simulator; tiled runs do not "
                      "support it (metrics profiling folds fine)");
@@ -277,7 +268,7 @@ RunResult Engine::run_tiled(const ProblemSpec& problem,
       sub.bc = t.sub_bc;
       sub.steps = tiling.depth;
       const grid::Grid<word_t> fed = grid::gather_tile(state, t, problem.bc);
-      tile_runs[i] = execute(sub, &fed, cascade_depth);
+      tile_runs[i] = execute(sub, &fed, tiling.depth);
       grid::stitch_interior(next, t, tile_runs[i].output.value());
       tile_runs[i].output.reset();  // the stitch consumed it
     });

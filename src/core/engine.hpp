@@ -103,11 +103,11 @@ struct TilingSpec {
 struct RunResult {
   Architecture arch = Architecture::Smache;
   std::uint64_t cycles = 0;
-  /// Smache static-prefetch phase for run() (0 for the baseline and for
-  /// plans with nothing to prefetch); the cascade's pipeline fill
-  /// (first-writeback cycle) for run_cascade(); the slowest pass-0 tile's
-  /// warmup for run_tiled(). Different quantities — do not compare across
-  /// paths.
+  /// Depth 1 (run(), and run_cascade()/run_tiled() at depth 1): the Smache
+  /// static-prefetch phase (0 for the baseline and for plans with nothing
+  /// to prefetch). Fused depths: the pipeline fill of the chained stages
+  /// (first-writeback cycle). Tiled meshes: the slowest pass-0 tile's
+  /// warmup. Different quantities — do not compare across depths.
   std::uint64_t warmup_cycles = 0;
   mem::DramStats dram;
   /// Final grid state; empty for elaborate_only() and when a batch driver
@@ -174,10 +174,11 @@ class Engine {
 
   /// Temporal-blocking extension (the "multiple time steps in one pass"
   /// direction the paper cites as complementary work): fuse `depth` time
-  /// steps on chip per DRAM pass, cutting traffic by ~depth. Requires
-  /// problem.steps to be a multiple of depth and boundaries that resolve
-  /// in-stream (open/mirror/constant — periodic wraps need the
-  /// double-buffered static buffers of the per-instance engine).
+  /// steps on chip per DRAM pass — SmacheTop with `depth` chained stages —
+  /// cutting traffic by ~depth. Requires problem.steps to be a multiple of
+  /// depth and, for depth > 1, boundaries that resolve in-stream
+  /// (open/mirror/constant — periodic wraps need the double-buffered
+  /// static buffers of the per-instance design). Depth 1 is run().
   RunResult run_cascade(const ProblemSpec& problem,
                         const grid::Grid<word_t>& initial,
                         std::size_t depth) const;
@@ -192,8 +193,9 @@ class Engine {
   /// max-per-pass over tiles (tiles run concurrently); every DRAM counter,
   /// fault counters included, sums over every tile-run, charging halo
   /// redundancy honestly; resources/timing sum/min over the replicated
-  /// pass-0 datapaths. A 1x1 mesh runs the untiled engine (run() at depth
-  /// 1, run_cascade() deeper), so this is the general entry point.
+  /// pass-0 datapaths. A 1x1 mesh runs the untiled engine (run_cascade()
+  /// at tiling.depth, which is run() at depth 1), so this is the general
+  /// entry point.
   RunResult run_tiled(const ProblemSpec& problem,
                       const grid::Grid<word_t>& initial,
                       const TilingSpec& tiling) const;
@@ -203,13 +205,13 @@ class Engine {
   RunResult elaborate_only(const ProblemSpec& problem) const;
 
  private:
-  /// The one simulate path behind every entry point. `cascade_depth` 0
-  /// elaborates the per-instance top of options_.arch; >= 1 elaborates a
-  /// CascadeTop fusing that many steps per DRAM pass. A null `initial`
-  /// elaborates without running a cycle.
+  /// The one simulate path behind every entry point. `depth` 1 elaborates
+  /// the per-instance top of options_.arch; > 1 elaborates a SmacheTop
+  /// (ledger root "cascade") fusing that many steps per DRAM pass. A null
+  /// `initial` elaborates without running a cycle.
   RunResult execute(const ProblemSpec& problem,
                     const grid::Grid<word_t>* initial,
-                    std::size_t cascade_depth) const;
+                    std::size_t depth) const;
   EngineOptions options_;
 };
 

@@ -1,4 +1,4 @@
-// The DRAM-facing cell port shared by the three top-level designs. A grid
+// The DRAM-facing cell port shared by the two top-level designs. A grid
 // cell is F words (the kernel's cell layout) while the DRAM channels move
 // one word per cycle each way, so every top converts between the two:
 //

@@ -5,48 +5,68 @@
 
 namespace smache::rtl {
 
+std::size_t SmacheTop::checked_passes(const model::BufferPlan& plan,
+                                      std::size_t steps, std::size_t depth) {
+  SMACHE_REQUIRE(steps >= 1 && depth >= 1 && steps % depth == 0);
+  if (depth > 1)
+    SMACHE_REQUIRE_MSG(plan.static_buffers().empty(),
+                       "cascading requires boundaries whose tuples resolve "
+                       "in-stream (open/mirror/constant); periodic wraps "
+                       "need SmacheTop's double-buffered static buffers");
+  return steps / depth;
+}
+
 std::vector<sim::RegGroup<SmacheTop::Ctrl>::FieldCharge>
 SmacheTop::ctrl_charges(const std::string& path,
-                        const model::BufferPlan& plan, std::size_t steps,
-                        std::size_t cells, std::size_t fields) {
+                        const model::BufferPlan& plan, std::size_t passes,
+                        bool static_path, std::size_t cells,
+                        std::size_t fields) {
+  const std::uint32_t shifts_bits =
+      smache::count_bits(cells + plan.window_len());
+  if (!static_path) {
+    // Fused: the pass counter, and stage 0's counters under its stage id.
+    return {{path + "/ctrl/pass", smache::count_bits(passes)},
+            {path + "/ctrl/req_issued", 1},
+            {path + "/ctrl/wb_count", smache::count_bits(cells)},
+            {path + "/ctrl/stage0/shifts", shifts_bits},
+            {path + "/ctrl/stage0/emit_next", smache::count_bits(cells)}};
+  }
   // warm_idx counts the words of one static row: width * F. The F > 1
   // gather/write-back staging registers belong to the cell port.
-  std::vector<sim::RegGroup<Ctrl>::FieldCharge> charges = {
-      {path + "/ctrl/instance", smache::count_bits(steps)},
-      {path + "/ctrl/shifts", smache::count_bits(cells + plan.window_len())},
-      {path + "/ctrl/emit_next", smache::count_bits(cells)},
-      {path + "/ctrl/rdata_center", smache::count_bits(cells) + 1},
-      {path + "/ctrl/req_issued", 1},
-      {path + "/ctrl/wb_count", smache::count_bits(cells)},
-      {path + "/ctrl/warm_bank",
-       smache::count_bits(plan.static_buffers().size() + 1)},
-      {path + "/ctrl/warm_idx", smache::count_bits(plan.width() * fields)},
-      {path + "/ctrl/warm_req", 1}};
-  return charges;
+  return {{path + "/ctrl/instance", smache::count_bits(passes)},
+          {path + "/ctrl/shifts", shifts_bits},
+          {path + "/ctrl/emit_next", smache::count_bits(cells)},
+          {path + "/ctrl/rdata_center", smache::count_bits(cells) + 1},
+          {path + "/ctrl/req_issued", 1},
+          {path + "/ctrl/wb_count", smache::count_bits(cells)},
+          {path + "/ctrl/warm_bank",
+           smache::count_bits(plan.static_buffers().size() + 1)},
+          {path + "/ctrl/warm_idx", smache::count_bits(plan.width() * fields)},
+          {path + "/ctrl/warm_req", 1}};
 }
 
 SmacheTop::SmacheTop(sim::Simulator& sim, const std::string& path,
                      const model::BufferPlan& plan,
                      const KernelSpec& kernel_spec, mem::DramModel& dram,
-                     std::size_t steps)
+                     std::size_t steps, std::size_t depth)
     : plan_(plan),
       dram_(dram),
-      steps_(steps),
+      passes_(checked_passes(plan, steps, depth)),
       cells_(plan.cells()),
       fields_(kernel_spec.fields()),
       words_(cells_ * kernel_spec.fields()),
       center_(plan.center_age()),
+      static_path_(depth == 1),
       sim_(sim),
-      window_(sim, path, plan, kernel_spec.fields()),
       statics_(sim, path, plan, kernel_spec.fields()),
-      // The kernel sits OUTSIDE the Smache module (Figure 1b), so its
-      // resources are charged under their own hierarchy root.
-      kernel_(sim, "kernel", kernel_spec, plan.shape().size(), cells_),
       top_(sim, path + "/ctrl/top_fsm",
            plan.needs_warmup() ? Top::Warmup : Top::Run, 4),
       ctrl_(sim, Ctrl{},
-            ctrl_charges(path, plan, steps, cells_, kernel_spec.fields())),
-      reader_(sim, path, path + "/ctrl", dram.read_data(), fields_),
+            ctrl_charges(path, plan, passes_, static_path_, cells_,
+                         kernel_spec.fields())),
+      reader_(sim, path,
+              static_path_ ? path + "/ctrl" : path + "/ctrl/stage0",
+              dram.read_data(), fields_),
       writer_(sim, path, dram.write_req(), fields_, cells_),
       mreg_(&sim.metrics()),
       s_req_bp_(mreg_->slot(path, "/stall/request_backpressure",
@@ -55,20 +75,50 @@ SmacheTop::SmacheTop(sim::Simulator& sim, const std::string& path,
           mreg_->slot(path, "/stall/dram_wait", obs::MetricKind::Counter)),
       s_kernel_bp_(mreg_->slot(path, "/stall/kernel_backpressure",
                                obs::MetricKind::Counter)) {
-  SMACHE_REQUIRE(steps >= 1);
   set_obs_name(path);
   SMACHE_REQUIRE_MSG(dram.size_words() >= 2 * words_,
                      "DRAM must hold two grid regions (ping-pong)");
+  if (!static_path_)
+    s_interstage_bp_ = mreg_->slot(path, "/stall/interstage_backpressure",
+                                   obs::MetricKind::Counter);
+  stages_.reserve(depth);
+  for (std::size_t k = 0; k < depth; ++k) {
+    const std::string stage_id = "stage" + std::to_string(k);
+    Stage st;
+    // Windows charge under <path>/stream/... (entries accumulate across
+    // stages, so the ledger's stream totals cover the whole chain). The
+    // kernels sit OUTSIDE the Smache module (Figure 1b), so their
+    // resources are charged under their own hierarchy root.
+    st.window = std::make_unique<StreamBuffer>(sim, path, plan, fields_);
+    st.kernel = std::make_unique<KernelPipeline>(
+        sim, static_path_ ? "kernel" : "kernel/" + stage_id, kernel_spec,
+        plan.shape().size(), cells_);
+    if (k > 0) {
+      st.ctrl = std::make_unique<sim::RegGroup<StageCtrl>>(
+          sim, StageCtrl{},
+          std::initializer_list<sim::RegGroup<StageCtrl>::FieldCharge>{
+              {path + "/ctrl/" + stage_id + "/shifts",
+               smache::count_bits(cells_ + plan.window_len())},
+              {path + "/ctrl/" + stage_id + "/emit_next",
+               smache::count_bits(cells_)}});
+      st.input = std::make_unique<sim::Fifo<CellMsg>>(
+          sim, path + "/ctrl/" + stage_id + "/input", 4,
+          static_cast<std::uint32_t>(kWordBits * fields_));
+      st.input->set_consumer(this);
+      st.input->set_producer(this);
+    }
+    // Activity gating: these channel commits are the only external events
+    // that can unblock a starved Run/Warmup state (data arriving, space
+    // freeing), so a quiescent controller sleeps on them.
+    st.kernel->in().set_producer(this);
+    st.kernel->out().set_consumer(this);
+    stages_.push_back(std::move(st));
+  }
   for (std::size_t b = 0; b < plan_.static_buffers().size(); ++b)
     warm_order_.push_back(b);
-  // Activity gating: these channel commits are the only external events
-  // that can unblock a starved Run/Warmup state (data arriving, space
-  // freeing), so a quiescent controller sleeps on them.
   dram_.read_req().set_producer(this);
   dram_.read_data().set_consumer(this);
   dram_.write_req().set_producer(this);
-  kernel_.in().set_producer(this);
-  kernel_.out().set_consumer(this);
   sim.add_module(this);
 }
 
@@ -91,8 +141,9 @@ void SmacheTop::build_cell_tables() {
   // Pre-resolve every case's gather sources: window ages to register
   // slots, static indices to bank pointers. The per-cycle emit loop then
   // touches no plan/map structures at all, and interior cases skip the
-  // static pre-issue loop outright.
-  case_plans_ = build_case_plans(plan_, window_, &statics_);
+  // static pre-issue loop outright. The stage windows share one layout,
+  // so one table serves all.
+  case_plans_ = build_case_plans(plan_, *stages_.front().window, statics_);
   capture_row_.assign(plan_.global_rows(), 0);
   for (std::size_t b = 0; b < plan_.static_buffers().size(); ++b) {
     const auto& spec = plan_.static_buffers()[b];
@@ -103,15 +154,15 @@ void SmacheTop::build_cell_tables() {
 bool SmacheTop::done() const noexcept { return top_.is(Top::Done); }
 
 std::uint64_t SmacheTop::in_base() const noexcept {
-  return (ctrl_.q().instance % 2 == 0) ? 0 : words_;
+  return (ctrl_.q().pass % 2 == 0) ? 0 : words_;
 }
 
 std::uint64_t SmacheTop::out_base() const noexcept {
-  return (ctrl_.q().instance % 2 == 0) ? words_ : 0;
+  return (ctrl_.q().pass % 2 == 0) ? words_ : 0;
 }
 
 std::uint64_t SmacheTop::output_base() const noexcept {
-  return (steps_ % 2 == 0) ? 0 : words_;
+  return (passes_ % 2 == 0) ? 0 : words_;
 }
 
 void SmacheTop::eval() {
@@ -184,15 +235,146 @@ void SmacheTop::issue_static_reads(std::uint64_t cell) {
   }
 }
 
-void SmacheTop::eval_run() {
+template <bool Head>
+bool SmacheTop::eval_stage(std::size_t k) {
+  Stage& st = stages_[k];
+  StreamBuffer& window = *st.window;
+  KernelPipeline& kernel = *st.kernel;
   const Ctrl& c = ctrl_.q();
-  const std::uint64_t n = c.shifts;
-  const std::uint64_t emit_i = c.emit_next;
+  const StageCtrl& q = Head ? c.head : st.ctrl->q();
+  const auto next = [&]() -> StageCtrl& {
+    if constexpr (Head) return ctrl_.d().head;
+    else return st.ctrl->d();
+  };
+  const std::uint64_t n = q.shifts;
+  const std::uint64_t emit_i = q.emit_next;
   const std::size_t center = center_;
   bool did_work = false;
 
-  // -- FSM-2a: whole-grid burst request, once per instance --
-  if (!c.req_issued) {
+  // -- FSM-2b: tuple emission (on the static path, only once the centre's
+  // static reads were pre-issued) --
+  bool emitting = false;
+  if (emit_i < cells_ && n >= emit_i + center &&
+      (!static_path_ ||
+       c.rdata_center == static_cast<std::int64_t>(emit_i))) {
+    if (kernel.in().can_push()) {
+      emit_tuple(kernel.in().push_slot(), emit_i,
+                 case_plans_[case_of_cell_[emit_i]], window, fields_);
+      next().emit_next = emit_i + 1;
+      emitting = true;
+      did_work = true;
+    } else {
+      mreg_->count(s_kernel_bp_);
+    }
+  }
+
+  // -- FSM-2c (static path): pre-issue static reads for the next centre.
+  // Re-issues for a centre the token already points at are skipped: BRAM
+  // read data holds between issues and the statics' active copies are not
+  // written during Run, so re-latching would republish identical values --
+  const std::uint64_t emit_eff = emitting ? emit_i + 1 : emit_i;
+  if (static_path_ && emit_eff < cells_ &&
+      c.rdata_center != static_cast<std::int64_t>(emit_eff)) {
+    issue_static_reads(emit_eff);
+    ctrl_.d().rdata_center = static_cast<std::int64_t>(emit_eff);
+    did_work = true;
+  }
+
+  // -- FSM-2d: window shift. A shift moves one whole CELL into the
+  // window: stage 0 on the arrival cycle of the cell's last DRAM word,
+  // later stages as the previous stage hands a result on; past the last
+  // real cell, zero cells flush the window. --
+  const bool more_shifts = n < cells_ - 1 + center;
+  const bool window_room = n < emit_eff + center;
+  if (more_shifts && window_room) {
+    if (n >= cells_) {
+      const word_t zero_cell[kMaxFields] = {};
+      window.shift_cell(zero_cell);
+      next().shifts = n + 1;
+      did_work = true;
+    } else if constexpr (Head) {
+      if (reader_.can_pop()) {
+        word_t cell[kMaxFields];
+        if (reader_.pop(cell)) {
+          window.shift_cell(cell);
+          next().shifts = n + 1;
+        }
+        did_work = true;
+      } else {
+        mreg_->count(s_dram_wait_);
+      }
+    } else if (st.input->can_pop()) {
+      window.shift_cell(st.input->pop().w.data());
+      next().shifts = n + 1;
+      did_work = true;
+    } else {
+      mreg_->count(s_interstage_bp_);
+    }
+  }
+
+  // -- hand the kernel's results on: to the next stage, or to DRAM --
+  if (k + 1 == stages_.size()) return write_back(kernel) || did_work;
+  sim::Fifo<CellMsg>& next_in = *stages_[k + 1].input;
+  if (kernel.out().can_pop()) {
+    if (next_in.can_push()) {
+      next_in.push_slot().w = kernel.out().pop().values;
+      did_work = true;
+    } else {
+      mreg_->count(s_interstage_bp_);
+    }
+  }
+  return did_work;
+}
+
+// FSM-3: write-back + shadow capture. The kernel retires one result CELL
+// per pop and the writer posts it to DRAM one word per cycle; the capture
+// path stores the whole cell on the pop cycle (on-chip banks are
+// word-parallel). wb_count counts fully written cells.
+bool SmacheTop::write_back(KernelPipeline& last) {
+  const Ctrl& c = ctrl_.q();
+  CellWriter::Step wb = CellWriter::Step::Idle;
+  if (writer_.draining()) {
+    wb = writer_.drain(out_base());
+  } else if (last.out().can_pop() && writer_.ready()) {
+    const ResultMsg res = last.out().pop();
+    if (static_path_) {
+      const std::uint32_t row = row_of_cell_[res.index];
+      if (capture_row_[row])
+        statics_.capture_output_cell(row, col_of_cell_[res.index],
+                                     res.values.data());
+    } else if (warmup_end_ == 0) {
+      warmup_end_ = sim_.now();  // fused: the chain's fill ends here
+    }
+    wb = writer_.write(out_base(), res.index, res.values);
+  }
+  if (wb == CellWriter::Step::Cell) {
+    ctrl_.d().wb_count = c.wb_count + 1;
+    if (c.wb_count + 1 == cells_)
+      top_.go(c.pass + 1 == passes_ ? Top::Done : Top::Swap);
+  }
+  return wb != CellWriter::Step::Idle;
+}
+
+// The per-cycle path. flatten inlines every channel and register helper
+// the stage body calls: left to its own heuristics, GCC keeps mark_dirty()
+// and the FIFO pops out of line here, which costs the depth-1 loop several
+// percent. Stage 0 (eval_stage<true>) is compiled into eval_run() itself;
+// the later stages of a fused chain stay out of line, so the depth-1 cycle
+// remains one compact body. (A runtime `k == 0` test in place of the
+// template parameter ran ~10% slower on perfbench paper_stream, GCC 12,
+// 4-vCPU x86-64.)
+[[gnu::noinline, gnu::flatten]] bool SmacheTop::eval_later_stages() {
+  bool did_work = false;
+  for (std::size_t k = 1; k < stages_.size(); ++k)
+    did_work |= eval_stage<false>(k);
+  return did_work;
+}
+
+[[gnu::flatten]] void SmacheTop::eval_run() {
+  bool did_work = false;
+
+  // -- FSM-2a: whole-grid burst request, once per pass --
+  if (!ctrl_.q().req_issued) {
     if (dram_.read_req().can_push()) {
       dram_.read_req().push(
           mem::DramReadReq{in_base(), static_cast<std::uint32_t>(words_)});
@@ -203,78 +385,8 @@ void SmacheTop::eval_run() {
     }
   }
 
-  // -- FSM-2b: tuple emission --
-  bool emitting = false;
-  if (emit_i < cells_ && n >= emit_i + center &&
-      c.rdata_center == static_cast<std::int64_t>(emit_i)) {
-    if (kernel_.in().can_push()) {
-      emit_tuple(kernel_.in().push_slot(), emit_i,
-                 case_plans_[case_of_cell_[emit_i]], window_, fields_);
-      ctrl_.d().emit_next = emit_i + 1;
-      emitting = true;
-      did_work = true;
-    } else {
-      mreg_->count(s_kernel_bp_);
-    }
-  }
-
-  // -- FSM-2c: pre-issue static reads for the next centre. Re-issues for
-  // a centre the token already points at are skipped: BRAM read data holds
-  // between issues and the statics' active copies are not written during
-  // Run, so re-latching would republish identical values --
-  const std::uint64_t next_center = emitting ? emit_i + 1 : emit_i;
-  if (next_center < cells_ &&
-      c.rdata_center != static_cast<std::int64_t>(next_center)) {
-    issue_static_reads(next_center);
-    ctrl_.d().rdata_center = static_cast<std::int64_t>(next_center);
-    did_work = true;
-  }
-
-  // -- FSM-2d: window shift. A shift moves one whole CELL into the
-  // window, on the arrival cycle of the cell's last DRAM word; past the
-  // last real cell, zero cells flush the window. --
-  const std::uint64_t emit_eff = emitting ? emit_i + 1 : emit_i;
-  const bool more_shifts = n < cells_ - 1 + center;
-  const bool window_room = n < emit_eff + center;
-  if (more_shifts && window_room) {
-    if (n >= cells_) {
-      const word_t zero_cell[kMaxFields] = {};
-      window_.shift_cell(zero_cell);
-      ctrl_.d().shifts = n + 1;
-      did_work = true;
-    } else if (reader_.can_pop()) {
-      word_t cell[kMaxFields];
-      if (reader_.pop(cell)) {
-        window_.shift_cell(cell);
-        ctrl_.d().shifts = n + 1;
-      }
-      did_work = true;
-    } else {
-      mreg_->count(s_dram_wait_);
-    }
-  }
-
-  // -- FSM-3: write-back + shadow capture. The kernel retires one result
-  // CELL per pop and the writer posts it to DRAM one word per cycle; the
-  // capture path stores the whole cell on the pop cycle (on-chip banks are
-  // word-parallel). wb_count counts fully written cells. --
-  CellWriter::Step wb = CellWriter::Step::Idle;
-  if (writer_.draining()) {
-    wb = writer_.drain(out_base());
-  } else if (kernel_.out().can_pop() && writer_.ready()) {
-    const ResultMsg res = kernel_.out().pop();
-    const std::uint32_t row = row_of_cell_[res.index];
-    if (capture_row_[row])
-      statics_.capture_output_cell(row, col_of_cell_[res.index],
-                                   res.values.data());
-    wb = writer_.write(out_base(), res.index, res.values);
-  }
-  if (wb != CellWriter::Step::Idle) did_work = true;
-  if (wb == CellWriter::Step::Cell) {
-    ctrl_.d().wb_count = c.wb_count + 1;
-    if (c.wb_count + 1 == cells_)
-      top_.go(c.instance + 1 == steps_ ? Top::Done : Top::Swap);
-  }
+  did_work |= eval_stage<true>(0);
+  if (stages_.size() > 1) did_work |= eval_later_stages();
 
   // Starved: every blocker above is an external channel condition (data
   // not yet delivered, space not yet freed), and each is subscribed to in
@@ -283,10 +395,10 @@ void SmacheTop::eval_run() {
 }
 
 // ---------------------------------------------------------------------------
-// Instance boundary: drain writes, swap buffers and regions.
+// Pass boundary: drain writes, swap buffers and regions.
 // ---------------------------------------------------------------------------
 void SmacheTop::eval_swap() {
-  // Memory fence: the next instance reads the region we just wrote.
+  // Memory fence: the next pass reads the region we just wrote.
   if (!dram_.write_req().empty() || !dram_.idle()) {
     // Exact re-check scheduling: min_cycles_to_idle is a sound lower bound
     // on the first cycle the fence can pass (same argument as
@@ -299,12 +411,13 @@ void SmacheTop::eval_swap() {
   const Ctrl& c = ctrl_.q();
   statics_.swap_all();
   Ctrl& d = ctrl_.d();
-  d.instance = c.instance + 1;
-  d.shifts = 0;
-  d.emit_next = 0;
+  d.pass = c.pass + 1;
+  d.head = StageCtrl{};
   d.rdata_center = -1;
   d.req_issued = false;
   d.wb_count = 0;
+  for (std::size_t k = 1; k < stages_.size(); ++k)
+    stages_[k].ctrl->d() = StageCtrl{};
   top_.go(Top::Run);
 }
 

@@ -11,8 +11,8 @@
 //     instance). This is the "additional warm-up work-instance" of §III,
 //     amortised over all later instances.
 //
-//   FSM-2 (gather): issues one whole-grid burst read per instance, shifts
-//     the arriving cells (CellReader) through the stream buffer, and emits
+//   FSM-2 (gather): issues one whole-grid burst read per pass, shifts the
+//     arriving cells (CellReader) through the stream buffer, and emits
 //     one stencil tuple per cycle to the kernel: window taps are
 //     combinational register reads; static-buffer taps were issued one
 //     cycle earlier (synchronous BRAM read) by the same FSM's pre-issue
@@ -24,12 +24,31 @@
 //     static-buffer rows into the SHADOW copies, so the next instance's
 //     boundary data is already on chip when the buffers swap.
 //
-// Work-instances ping-pong between two DRAM regions (in/out). The SWAP
-// state waits for the write channel to drain (a memory fence) before
-// flipping regions and double buffers.
+// Passes ping-pong between two DRAM regions (in/out). The SWAP state waits
+// for the write channel to drain (a memory fence) before flipping regions
+// and double buffers.
+//
+// Fused depth (temporal blocking, the "multiple time steps in one pass"
+// direction the paper cites as complementary: [2] Fu et al., [4] Nacci et
+// al.). With depth K the gather stage — a stream buffer, its kernel and
+// its shift/emit counters — is chained K times on chip,
+//
+//   DRAM read -> window_0 -> kernel_0 -> window_1 -> ... -> kernel_{K-1}
+//             -> DRAM write
+//
+// so one pass computes K work-instances for ONE grid read and ONE grid
+// write. Stage k+1 shifts stage k's result cells from a 4-deep inter-stage
+// channel in stream order, so a tuple may only reference data already
+// produced. Periodic wraps need the END of the grid at its start, which
+// within one fused pass does not exist yet: fused depths (K > 1) therefore
+// reject plans with static buffers (open/mirror/constant boundaries only)
+// and run without the static path (FSM-1, FSM-2's pre-issue, FSM-3's
+// capture). Depth 1 is the per-instance design above.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -42,6 +61,7 @@
 #include "rtl/static_buffer.hpp"
 #include "rtl/stream_buffer.hpp"
 #include "rtl/top_support.hpp"
+#include "sim/fifo.hpp"
 #include "sim/fsm.hpp"
 #include "sim/reg.hpp"
 #include "sim/simulator.hpp"
@@ -50,13 +70,14 @@ namespace smache::rtl {
 
 class SmacheTop : public sim::Module {
  public:
-  /// `steps` = number of work-instances. Region 0 of `dram` must hold the
-  /// initial grid; after completion the result is in region (steps % 2).
+  /// `steps` = number of work-instances, computed `depth` per DRAM pass
+  /// (steps % depth == 0). Region 0 of `dram` must hold the initial grid;
+  /// after completion the result is in region (passes % 2).
   SmacheTop(sim::Simulator& sim, const std::string& path,
             const model::BufferPlan& plan, const KernelSpec& kernel_spec,
-            mem::DramModel& dram, std::size_t steps);
+            mem::DramModel& dram, std::size_t steps, std::size_t depth = 1);
 
-  /// All instances complete (results may still be draining to DRAM; pair
+  /// All passes complete (results may still be draining to DRAM; pair
   /// with DramModel::idle()).
   bool done() const noexcept;
 
@@ -66,43 +87,67 @@ class SmacheTop : public sim::Module {
   /// adds cycles on top of the bound).
   std::uint64_t min_cycles_to_done() const noexcept {
     if (top_.is(Top::Done)) return 0;
-    return outstanding_writeback_bound(steps_, ctrl_.q().instance, cells_,
+    return outstanding_writeback_bound(passes_, ctrl_.q().pass, cells_,
                                        ctrl_.q().wb_count);
   }
 
-  /// Cycle at which the warm-up pass completed (for amortisation reports).
+  /// Depth 1: cycle at which the warm-up pass completed (0 when there is
+  /// nothing to prefetch). Fused depths: cycle of the first DRAM
+  /// write-back, the fill latency of the chained stages (grows with
+  /// depth). Both feed RunResult::warmup_cycles.
   std::uint64_t warmup_end_cycle() const noexcept { return warmup_end_; }
 
   /// DRAM word offset of the final output region.
   std::uint64_t output_base() const noexcept;
-
-  const model::BufferPlan& plan() const noexcept { return plan_; }
-  KernelPipeline& kernel() noexcept { return kernel_; }
 
   void eval() override;
 
  private:
   enum class Top : std::uint8_t { Warmup, Run, Swap, Done };
 
-  /// All controller registers as one state element (single commit per
-  /// cycle). Field paths/widths are charged to the ledger exactly like the
-  /// discrete Regs they replace; hold semantics are identical (see
-  /// sim::RegGroup).
-  struct Ctrl {
+  /// One stage's gather progress counters.
+  struct StageCtrl {
     std::uint64_t shifts = 0;
     std::uint64_t emit_next = 0;
+  };
+
+  /// All controller registers as one state element (single commit per
+  /// cycle), stage 0's counters included. Field paths/widths are charged
+  /// to the ledger exactly like the discrete Regs they replace; hold
+  /// semantics are identical (see sim::RegGroup).
+  struct Ctrl {
+    StageCtrl head;  // stage 0
     std::int64_t rdata_center = -1;
     std::uint64_t wb_count = 0;
-    std::uint32_t instance = 0;
+    std::uint32_t pass = 0;
     std::uint32_t warm_bank = 0;
     std::uint32_t warm_idx = 0;
     bool req_issued = false;
     bool warm_req = false;
   };
 
+  /// One cell on an inter-stage channel: F words, moved as one message
+  /// (the channel charges kWordBits * F per slot).
+  struct CellMsg {
+    std::array<word_t, kMaxFields> w{};
+  };
+
+  /// One chained work-instance: a window plus its kernel. Stage 0 shifts
+  /// cells from the CellReader; stage k >= 1 shifts stage k-1's results
+  /// from its own input channel and owns its counters.
+  struct Stage {
+    std::unique_ptr<StreamBuffer> window;
+    std::unique_ptr<KernelPipeline> kernel;
+    std::unique_ptr<sim::RegGroup<StageCtrl>> ctrl;  // k >= 1
+    std::unique_ptr<sim::Fifo<CellMsg>> input;       // k >= 1
+  };
+
+  static std::size_t checked_passes(const model::BufferPlan& plan,
+                                    std::size_t steps, std::size_t depth);
   static std::vector<sim::RegGroup<Ctrl>::FieldCharge> ctrl_charges(
       const std::string& path, const model::BufferPlan& plan,
-      std::size_t steps, std::size_t cells, std::size_t fields);
+      std::size_t passes, bool static_path, std::size_t cells,
+      std::size_t fields);
 
   std::uint64_t in_base() const noexcept;
   std::uint64_t out_base() const noexcept;
@@ -110,28 +155,38 @@ class SmacheTop : public sim::Module {
   void eval_warmup();
   void eval_run();
   void eval_swap();
+  /// Stage k's emission, shift and hand-on this cycle; true on progress.
+  /// `Head` is k == 0: counters in Ctrl, cells from the CellReader.
+  template <bool Head>
+  bool eval_stage(std::size_t k);
+  bool eval_later_stages();  // stages 1..depth-1
+  bool write_back(KernelPipeline& last);
   void issue_static_reads(std::uint64_t cell);
 
   const model::BufferPlan plan_;
   mem::DramModel& dram_;
-  std::size_t steps_;
+  std::size_t passes_;
   std::size_t cells_;   // grid height * width * depth
   std::size_t fields_;  // words per cell (kernel spec's layout)
   std::size_t words_;   // cells_ * fields_ (one DRAM region)
   std::size_t center_;  // plan_.center_age(), hoisted for the cycle loop
+  // Depth 1 only: FSM-1 warm-up, FSM-2c pre-issue, FSM-3 capture.
+  bool static_path_;
   sim::Simulator& sim_;
 
-  StreamBuffer window_;
-  StaticBufferSet statics_;
-  KernelPipeline kernel_;
+  std::vector<Stage> stages_;
+  StaticBufferSet statics_;  // no banks when fused
 
   // Controller state (all charged under <path>/ctrl).
   sim::FsmState<Top> top_;
   sim::RegGroup<Ctrl> ctrl_;
-  // DRAM-facing cell port: FSM-2's input cells, FSM-3's result cells.
+  // DRAM-facing cell port: stage 0's input cells, the last stage's
+  // result cells.
   CellReader reader_;
   CellWriter writer_;
 
+  // Behavioural observability only: not a hardware register, never
+  // charged to the ledger.
   std::uint64_t warmup_end_ = 0;
   // Warm-up bank order (indices into statics_, write-through first).
   std::vector<std::size_t> warm_order_;
@@ -144,21 +199,26 @@ class SmacheTop : public sim::Module {
   std::vector<std::uint32_t> case_of_cell_;
   std::vector<std::uint32_t> row_of_cell_;
   std::vector<std::uint32_t> col_of_cell_;
-  // case id -> pre-resolved gather/pre-issue plan (see rtl::EmitOp).
+  // case id -> pre-resolved gather/pre-issue plan (see rtl::EmitOp),
+  // shared by all stages (one plan, identical window layouts).
   std::vector<CasePlan> case_plans_;
   // row -> 1 iff some write-through static buffer captures it (FSM-3 skips
   // the capture call for every other row).
   std::vector<std::uint8_t> capture_row_;
 
-  // -- observability: stalled-eval counters (the cell port counts its own
-  // staging, drain and write-back backpressure). With gating on, a fully
-  // starved controller sleeps, so a counter ticks once per stalled eval
-  // (one per cycle only while some other FSM keeps the module awake); the
-  // stall DURATION shows up as scheduler asleep time.
+  // -- observability: stalled-eval counters, summed over stages (the cell
+  // port counts its own staging, drain and write-back backpressure). With
+  // gating on, a fully starved controller sleeps, so a counter ticks once
+  // per stalled eval (one per cycle only while some other FSM keeps the
+  // module awake); the stall DURATION shows up as scheduler asleep time.
   obs::MetricsRegistry* mreg_;
   obs::MetricsRegistry::Slot s_req_bp_;     // read_req channel full
   obs::MetricsRegistry::Slot s_dram_wait_;  // read_data not ready
-  obs::MetricsRegistry::Slot s_kernel_bp_;  // kernel input full
+  obs::MetricsRegistry::Slot s_kernel_bp_;  // a stage's kernel input full
+  // Fused depths only: a stage's inter-stage channel blocked — the next
+  // stage's input is full (the kernel cannot hand on its result) or this
+  // stage's input is empty (a later stage waits for its predecessor).
+  obs::MetricsRegistry::Slot s_interstage_bp_ = 0;
 };
 
 }  // namespace smache::rtl

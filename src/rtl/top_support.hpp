@@ -1,13 +1,12 @@
-// Helpers shared by the three top-level designs (Smache, baseline,
-// cascade): the completion lower bound that drives batched polling, the
-// behavioural cell -> case lookup table, the pre-resolved per-case gather
-// plans the stream-fed tops emit from, and the tuple emission itself.
+// Helpers shared by the two top-level designs (SmacheTop at any fused
+// depth, BaselineTop): the completion lower bound that drives batched
+// polling, the behavioural cell -> case lookup table, and SmacheTop's
+// pre-resolved per-case gather plans and tuple emission.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "common/assert.hpp"
 #include "grid/zones.hpp"
 #include "model/planner.hpp"
 #include "rtl/kernel_pipeline.hpp"
@@ -17,16 +16,16 @@
 namespace smache::rtl {
 
 /// Sound lower bound on cycles until a top's done() can become true, used
-/// by Simulator::run_until_done. All three tops share the same argument:
+/// by Simulator::run_until_done. Both tops share the same argument:
 /// at most one write-back retires per cycle, Done is entered together with
-/// the final one, and `wb_count` resets per instance — so the outstanding
-/// write-back count across all remaining work-instances
-/// (`remaining_instances * cells - clamped(wb_count)`) can never be
+/// the final one, and `wb_count` resets per DRAM pass — so the outstanding
+/// write-back count across all remaining passes
+/// (`remaining_passes * cells - clamped(wb_count)`) can never be
 /// undershot. Warm-up or fence cycles only add to it.
 inline std::uint64_t outstanding_writeback_bound(
-    std::uint64_t instances_total, std::uint64_t instances_done,
+    std::uint64_t passes_total, std::uint64_t passes_done,
     std::uint64_t cells, std::uint64_t wb_count) noexcept {
-  const std::uint64_t remaining = (instances_total - instances_done) * cells;
+  const std::uint64_t remaining = (passes_total - passes_done) * cells;
   const std::uint64_t written = wb_count < cells ? wb_count : cells;
   return remaining - written;
 }
@@ -76,12 +75,10 @@ struct CasePlan {
 };
 
 /// Pre-resolve every case's gather sources against a stream buffer's
-/// register layout. `statics` is null for designs whose plans cannot
-/// contain static sources (the cascade — enforced here); all stage windows
-/// of a cascade share one layout, so one table serves all.
+/// register layout and the plan's static buffers.
 inline std::vector<CasePlan> build_case_plans(const model::BufferPlan& plan,
                                               const StreamBuffer& window,
-                                              StaticBufferSet* statics) {
+                                              StaticBufferSet& statics) {
   std::vector<CasePlan> plans(plan.cases().case_count());
   for (std::size_t id = 0; id < plans.size(); ++id) {
     CasePlan& cp = plans[id];
@@ -94,11 +91,8 @@ inline std::vector<CasePlan> build_case_plans(const model::BufferPlan& plan,
               static_cast<std::uint32_t>(window.slot_of_age(g.window_age));
           break;
         case model::SourceKind::Static:
-          SMACHE_ASSERT_MSG(statics != nullptr,
-                            "this design's plans never contain static "
-                            "sources");
           op.kind = EmitOp::Kind::Static;
-          op.bank = &statics->bank(g.static_index);
+          op.bank = &statics.bank(g.static_index);
           op.replica = static_cast<std::uint32_t>(g.replica);
           cp.statics.push_back({op.bank, op.replica, g.col_shift});
           break;

@@ -1,12 +1,10 @@
 // Small helper for finite-state machines: wraps a Reg<Enum> with readable
-// state queries and a transition log that tests can assert on. The Smache
-// controller's three concurrent FSMs (prefetch / gather / write-back) are
-// built on this.
+// state queries. The Smache controller's three concurrent FSMs (prefetch /
+// gather / write-back) are built on this.
 #pragma once
 
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
 #include "common/bits.hpp"
 #include "sim/reg.hpp"
@@ -22,34 +20,16 @@ class FsmState {
   /// small FSMs under register pressure).
   FsmState(Simulator& sim, std::string_view path, Enum initial,
            std::uint32_t state_count)
-      : sim_(sim),
-        state_(sim, path, initial, smache::addr_bits(state_count)) {}
+      : state_(sim, path, initial, smache::addr_bits(state_count)) {}
 
   Enum state() const noexcept { return state_.q(); }
   bool is(Enum s) const noexcept { return state_.q() == s; }
 
-  /// Schedule a transition for the next cycle; records it in the log.
-  void go(Enum s) {
-    state_.d(s);
-    if (log_enabled_)
-      log_.push_back(Transition{sim_.now(), state_.q(), s});
-  }
-
-  struct Transition {
-    std::uint64_t cycle;
-    Enum from;
-    Enum to;
-  };
-
-  void enable_log(bool on = true) noexcept { log_enabled_ = on; }
-  const std::vector<Transition>& log() const noexcept { return log_; }
-  void clear_log() noexcept { log_.clear(); }
+  /// Schedule a transition for the next cycle.
+  void go(Enum s) { state_.d(s); }
 
  private:
-  Simulator& sim_;
   Reg<Enum> state_;
-  bool log_enabled_ = false;
-  std::vector<Transition> log_;
 };
 
 }  // namespace smache::sim

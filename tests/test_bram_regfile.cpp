@@ -1,10 +1,9 @@
-// Unit tests for the on-chip memory primitives: BramBank (synchronous
-// read, physical rounding) and RegFile (combinational read).
+// Unit tests for the on-chip BRAM primitive: BramBank (synchronous read,
+// physical rounding).
 #include <gtest/gtest.h>
 
 #include "common/assert.hpp"
 #include "mem/bram.hpp"
-#include "mem/regfile.hpp"
 #include "sim/simulator.hpp"
 
 namespace smache::mem {
@@ -88,34 +87,6 @@ TEST(Bram, LedgerChargesPhysicalBitsAndBlocks) {
             1025u * 32);
   EXPECT_EQ(sim.ledger().total(sim::ResKind::BramBlocks, "grp"),
             (1025u * 32 + kM20kBits - 1) / kM20kBits);
-}
-
-TEST(RegFile, CombinationalRead) {
-  sim::Simulator sim;
-  RegFile rf(sim, "rf", 4, 32);
-  rf.write(2, 7);
-  EXPECT_EQ(rf.read(2), 0u) << "write is clocked";
-  sim.step();
-  EXPECT_EQ(rf.read(2), 7u) << "read is combinational after commit";
-}
-
-TEST(RegFile, MultipleWritesPerCycleAllowed) {
-  sim::Simulator sim;
-  RegFile rf(sim, "rf", 4, 32);
-  rf.write(0, 1);
-  rf.write(1, 2);
-  rf.write(2, 3);
-  sim.step();
-  EXPECT_EQ(rf.read(0), 1u);
-  EXPECT_EQ(rf.read(1), 2u);
-  EXPECT_EQ(rf.read(2), 3u);
-}
-
-TEST(RegFile, ChargesRegisterBits) {
-  sim::Simulator sim;
-  RegFile rf(sim, "rf", 16, 32);
-  EXPECT_EQ(sim.ledger().total(sim::ResKind::RegisterBits, "rf"), 512u);
-  EXPECT_EQ(sim.ledger().total(sim::ResKind::BramBits, "rf"), 0u);
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 // by ~K, and correctly reject configurations it cannot fuse.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/assert.hpp"
 #include "common/rng.hpp"
 #include "core/engine.hpp"
 #include "support/test_grids.hpp"
@@ -69,19 +72,58 @@ TEST(Cascade, FloatDiffusionSupported) {
 }
 
 TEST(Cascade, PopulatesWarmupCycles) {
-  // Cascade warmup = pipeline fill: the cycle the first result writes
+  // Fused warmup = pipeline fill: the cycle the first result writes
   // back. It must be populated (the seed left it at 0 — reports showed
   // cascade rows with zero warmup) and grow with depth, since each fused
   // stage adds its own window-fill latency.
   const auto p = open_problem(12);
   const auto init = random_grid(p.height, p.width, 99);
   const Engine engine(EngineOptions::smache());
-  const auto shallow = engine.run_cascade(p, init, 1);
+  const auto shallow = engine.run_cascade(p, init, 2);
   const auto deep = engine.run_cascade(p, init, 4);
   EXPECT_GT(shallow.warmup_cycles, 0u);
   EXPECT_LT(shallow.warmup_cycles, shallow.cycles);
   EXPECT_GT(deep.warmup_cycles, shallow.warmup_cycles);
   EXPECT_LT(deep.warmup_cycles, deep.cycles);
+}
+
+TEST(Cascade, DepthOneIsThePerInstanceDesign) {
+  // Fusing one step per pass is no fusion: run_cascade(p, g, 1) is run(),
+  // static path (warm-up, pre-issue, capture) and periodic wraps included.
+  for (const auto& bc : {grid::BoundarySpec::all_open(),
+                         grid::BoundarySpec::paper_example()}) {
+    ProblemSpec p = open_problem(4);
+    p.height = 16;
+    p.width = 13;
+    p.bc = bc;
+    const auto init = random_grid(p.height, p.width, 86);
+    EngineOptions opts = EngineOptions::smache();
+    opts.profile = true;
+    const Engine engine(opts);
+    const auto fused = engine.run_cascade(p, init, 1);
+    const auto run = engine.run(p, init);
+    EXPECT_EQ(fused.cycles, run.cycles);
+    EXPECT_EQ(fused.warmup_cycles, run.warmup_cycles);
+    EXPECT_EQ(fused.dram, run.dram);
+    EXPECT_EQ(fused.output, run.output);
+    EXPECT_EQ(fused.resources.r_static, run.resources.r_static);
+    EXPECT_EQ(fused.resources.b_static, run.resources.b_static);
+    EXPECT_EQ(fused.resources.r_stream, run.resources.r_stream);
+    EXPECT_EQ(fused.resources.b_stream, run.resources.b_stream);
+    EXPECT_EQ(fused.resources.r_total, run.resources.r_total);
+    EXPECT_EQ(fused.resources.b_total, run.resources.b_total);
+    EXPECT_EQ(fused.resources.m20k_blocks, run.resources.m20k_blocks);
+    EXPECT_EQ(fused.timing.critical_path_ns, run.timing.critical_path_ns);
+    EXPECT_EQ(fused.timing.fmax_mhz, run.timing.fmax_mhz);
+    EXPECT_EQ(fused.timing.critical_path, run.timing.critical_path);
+    EXPECT_EQ(fused.ops, run.ops);
+    ASSERT_EQ(fused.metrics.size(), run.metrics.size());
+    for (std::size_t i = 0; i < run.metrics.size(); ++i) {
+      EXPECT_EQ(fused.metrics[i].path, run.metrics[i].path);
+      EXPECT_EQ(fused.metrics[i].value, run.metrics[i].value)
+          << run.metrics[i].path;
+    }
+  }
 }
 
 TEST(Cascade, TrafficDropsByDepth) {
@@ -117,6 +159,22 @@ TEST(Cascade, PeriodicBoundariesRejected) {
       Engine(EngineOptions::smache()).run_cascade(p, init, 2),
       contract_error)
       << "periodic wraps need data that does not exist yet within a pass";
+}
+
+TEST(Cascade, RejectionLocationIsCheckoutRelative) {
+  // Sweeps digest and journal captured errors, so the location a contract
+  // error names must not depend on where the tree was built.
+  ProblemSpec p = open_problem(4);
+  p.bc = grid::BoundarySpec::paper_example();
+  const auto init = random_grid(p.height, p.width, 87);
+  try {
+    (void)Engine(EngineOptions::smache()).run_cascade(p, init, 2);
+    FAIL() << "periodic wraps cannot fuse in-stream";
+  } catch (const contract_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(" at src/"), std::string::npos) << what;
+    EXPECT_EQ(what.find(" at /"), std::string::npos) << what;
+  }
 }
 
 TEST(Cascade, IndivisibleStepsRejected) {

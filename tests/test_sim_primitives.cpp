@@ -164,20 +164,6 @@ TEST(FsmState, TransitionNextCycle) {
   EXPECT_TRUE(fsm.is(St::B));
 }
 
-TEST(FsmState, LogRecordsTransitions) {
-  Simulator sim;
-  FsmState<St> fsm(sim, "fsm", St::A, 3);
-  fsm.enable_log();
-  fsm.go(St::B);
-  sim.step();
-  fsm.go(St::C);
-  sim.step();
-  ASSERT_EQ(fsm.log().size(), 2u);
-  EXPECT_EQ(fsm.log()[0].to, St::B);
-  EXPECT_EQ(fsm.log()[1].from, St::B);
-  EXPECT_EQ(fsm.log()[1].cycle, 1u);
-}
-
 TEST(FsmState, ChargesBinaryEncodingBits) {
   Simulator sim;
   FsmState<St> fsm(sim, "fsm3", St::A, 3);
