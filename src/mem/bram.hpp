@@ -19,6 +19,9 @@
 //                  physical depth = round_up(depth + 1, 4):
 //                  7 -> 8, 1020 -> 1024.
 // Both rules are documented substitutions for real synthesis (DESIGN.md §2).
+// charge_bram() applies them to the ledger for BramBank and for models that
+// simulate BRAM storage without a bank (the stream buffer's FIFO segments),
+// so every BRAM charge follows the same rule.
 #pragma once
 
 #include <cstdint>
@@ -35,9 +38,30 @@ namespace smache::mem {
 /// Bits per M20K block on Stratix-V-class devices.
 inline constexpr std::uint64_t kM20kBits = 20480;
 
+enum class BramMode { Ram, Fifo };
+
+/// Synthesis-rounded depth of a `depth`-word bank (see header comment).
+inline std::size_t physical_depth(std::size_t depth, BramMode mode) noexcept {
+  const std::size_t with_output_stage = depth + 1;
+  return mode == BramMode::Ram
+             ? with_output_stage
+             : static_cast<std::size_t>(smache::round_up(with_output_stage, 4));
+}
+
+/// Charge one bank of `depth` logical words of `width_bits` to `path`: the
+/// BramBits of its synthesis-rounded depth and the M20K blocks they fill.
+inline void charge_bram(sim::ResourceLedger& ledger, std::string_view path,
+                        std::size_t depth, std::uint32_t width_bits,
+                        BramMode mode) {
+  const std::uint64_t bits =
+      static_cast<std::uint64_t>(physical_depth(depth, mode)) * width_bits;
+  ledger.add(path, sim::ResKind::BramBits, bits);
+  ledger.add(path, sim::ResKind::BramBlocks, smache::ceil_div(bits, kM20kBits));
+}
+
 class BramBank : public sim::Clocked {
  public:
-  enum class Mode { Ram, Fifo };
+  using Mode = BramMode;
 
   BramBank(sim::Simulator& sim, std::string_view path, std::size_t depth,
            std::uint32_t width_bits, Mode mode)
@@ -48,10 +72,7 @@ class BramBank : public sim::Clocked {
     SMACHE_REQUIRE(width_bits >= 1 && width_bits <= 64);
     sim.register_clocked(this);
     set_bram_commit(&ctl_);
-    const std::uint64_t bits = physical_bits();
-    sim.ledger().add(path, sim::ResKind::BramBits, bits);
-    sim.ledger().add(path, sim::ResKind::BramBlocks,
-                     smache::ceil_div(bits, kM20kBits));
+    charge_bram(sim.ledger(), path, depth, width_bits, mode);
   }
 
   std::size_t depth() const noexcept { return depth_; }
@@ -59,11 +80,7 @@ class BramBank : public sim::Clocked {
 
   /// Synthesis-rounded depth (see header comment).
   std::size_t physical_depth() const noexcept {
-    const std::size_t with_output_stage = depth_ + 1;
-    return mode_ == Mode::Ram
-               ? with_output_stage
-               : static_cast<std::size_t>(
-                     smache::round_up(with_output_stage, 4));
+    return mem::physical_depth(depth_, mode_);
   }
 
   std::uint64_t physical_bits() const noexcept {

@@ -1,10 +1,10 @@
 #include "rtl/stream_buffer.hpp"
 
-#include <algorithm>
-#include <cstring>
+#include <cstdint>
+#include <limits>
 
-#include "common/assert.hpp"
 #include "common/bits.hpp"
+#include "mem/bram.hpp"
 
 namespace smache::rtl {
 
@@ -12,88 +12,57 @@ StreamBuffer::StreamBuffer(sim::Simulator& sim, const std::string& path,
                            const model::BufferPlan& plan, std::size_t fields)
     : window_len_(plan.window_len()), fields_(fields) {
   SMACHE_REQUIRE(fields >= 1 && fields <= kMaxFields);
-  reg_ages_ = plan.reg_ages();
-  std::sort(reg_ages_.begin(), reg_ages_.end());
-  SMACHE_REQUIRE(!reg_ages_.empty() && reg_ages_.front() == 1);
-  age_to_slot_.assign(window_len_ + 1, kNoSlot);
-  for (std::size_t slot = 0; slot < reg_ages_.size(); ++slot) {
-    SMACHE_REQUIRE(reg_ages_[slot] <= window_len_);
-    age_to_slot_[reg_ages_[slot]] = slot;
+  is_reg_.assign(window_len_ + 1, 0);
+  for (std::size_t age : plan.reg_ages()) {
+    SMACHE_REQUIRE(age >= 1 && age <= window_len_);
+    is_reg_[age] = 1;
   }
+  SMACHE_REQUIRE(is_reg_age(1));
+  window_words_ = window_len_ * fields_;
+  ring_words_ = window_words_ + fields_;
+  SMACHE_REQUIRE_MSG(ring_words_ <= std::numeric_limits<std::uint32_t>::max(),
+                     "window ring exceeds the head index's range");
+  ring_.assign(ring_words_, word_t{0});
+  sim.register_clocked(this);
+  set_copy_commit(&head_q_, &head_next_, sizeof head_q_);
 
-  // One cell = F interleaved words; register slot i backs words
-  // [i*F, (i+1)*F). F = 1 keeps the original count and charge.
-  regs_ = std::make_unique<sim::RegArray<word_t>>(
-      sim, path + "/stream/window_regs", reg_ages_.size() * fields_,
-      word_t{0}, kWordBits);
-
+  // Charge the hardware the ring stands in for (see header). F = 1 keeps
+  // the original per-path charges; extra fields widen the registers and
+  // add one bank per field under a /f<k> suffix.
+  sim::ResourceLedger& ledger = sim.ledger();
+  ledger.add(path + "/stream/window_regs", sim::ResKind::RegisterBits,
+             static_cast<std::uint64_t>(plan.reg_ages().size()) * fields_ *
+                 kWordBits);
+  std::vector<std::uint8_t> bram_fed(window_len_ + 1, 0);
   for (std::size_t s = 0; s < plan.fifo_segments().size(); ++s) {
-    const model::FifoSegment& fs = plan.fifo_segments()[s];
+    const auto& fs = plan.fifo_segments()[s];
     SMACHE_REQUIRE_MSG(fs.bram_len >= 2,
                        "BRAM FIFO segments need >= 2 slots for the pointer "
                        "discipline");
-    Segment seg;
-    seg.in_stage_age = fs.in_stage_age;
-    seg.out_stage_age = fs.out_stage_age;
-    seg.bram_len = fs.bram_len;
-    SMACHE_REQUIRE(is_reg_age(fs.in_stage_age));
-    seg.in_slot = age_to_slot_[fs.in_stage_age] * fields_;
+    // The ring simulates this segment only if its BRAM holds exactly the
+    // ages between its two stage registers.
+    SMACHE_REQUIRE(is_reg_age(fs.in_stage_age) &&
+                   fs.out_stage_age == fs.in_stage_age + fs.bram_len + 1 &&
+                   is_reg_age(fs.out_stage_age));
+    bram_fed[fs.out_stage_age] = 1;
     const std::string spath = path + "/stream/fifo" + std::to_string(s);
-    // Field 0 keeps the original bank path (F = 1 ledger unchanged);
-    // extra fields get their own parallel banks under a /f<k> suffix.
-    for (std::size_t f = 0; f < fields_; ++f) {
-      const std::string fpath =
-          f == 0 ? spath : spath + "/f" + std::to_string(f);
-      seg.brams.push_back(std::make_unique<mem::BramBank>(
-          sim, fpath, fs.bram_len, kWordBits, mem::BramBank::Mode::Fifo));
-    }
-    seg.ptr = std::make_unique<sim::Reg<std::uint32_t>>(
-        sim, spath + "/ptr", 0u, smache::addr_bits(fs.bram_len));
-    segments_.push_back(std::move(seg));
+    for (std::size_t f = 0; f < fields_; ++f)
+      mem::charge_bram(ledger,
+                       f == 0 ? spath : spath + "/f" + std::to_string(f),
+                       fs.bram_len, kWordBits, mem::BramMode::Fifo);
+    ledger.add(spath + "/ptr", sim::ResKind::RegisterBits,
+               smache::addr_bits(fs.bram_len));
   }
 
-  // Precompute each register slot's feed. Slot for age 1 takes the shift
-  // input; a slot whose age is an out_stage takes the segment's BRAM
-  // output; every other slot takes the register at age-1 (which must
-  // exist: BRAM interiors are always bounded by stage registers).
-  feeds_.resize(reg_ages_.size());
-  for (std::size_t slot = 0; slot < reg_ages_.size(); ++slot) {
-    const std::size_t age = reg_ages_[slot];
-    if (age == 1) {
-      feeds_[slot] = {Feed::Input, 0};
-      continue;
-    }
-    bool fed = false;
-    for (std::size_t s = 0; s < segments_.size(); ++s) {
-      if (segments_[s].out_stage_age == age) {
-        feeds_[slot] = {Feed::Bram, s};
-        fed = true;
-        break;
-      }
-    }
-    if (fed) continue;
-    SMACHE_REQUIRE_MSG(is_reg_age(age - 1),
+  // Every register but age 1 is fed by the register one age younger or by
+  // a segment's BRAM output — BRAM interiors are always bounded by stage
+  // registers.
+  for (std::size_t age = 2; age <= window_len_; ++age)
+    SMACHE_REQUIRE_MSG(!is_reg_age(age) || bram_fed[age] ||
+                           is_reg_age(age - 1),
                        "window layout broken: register at age " +
                            std::to_string(age) +
                            " has no register or BRAM feeding it");
-    feeds_[slot] = {Feed::PrevReg, age_to_slot_[age - 1]};
-  }
-
-  // Run-compress the feeds into chains (see header). Sorted distinct ages
-  // make every PrevReg feed source slot - 1, verified here.
-  for (std::size_t slot = 0; slot < feeds_.size(); ++slot) {
-    if (feeds_[slot].kind == Feed::PrevReg) {
-      SMACHE_ASSERT(feeds_[slot].arg == slot - 1);
-      ++chains_.back().len;
-      continue;
-    }
-    Chain ch;
-    ch.start = slot;
-    ch.len = 1;
-    ch.from_input = feeds_[slot].kind == Feed::Input;
-    ch.segment = ch.from_input ? 0 : feeds_[slot].arg;
-    chains_.push_back(ch);
-  }
 }
 
 void StreamBuffer::shift(word_t in) {
@@ -102,72 +71,20 @@ void StreamBuffer::shift(word_t in) {
 }
 
 void StreamBuffer::shift_cell(const word_t* cell) {
-  // Schedule all register updates (non-blocking; the committed-state reads
-  // below see start-of-cycle values, so ordering across chains is
-  // irrelevant). Every slot has a feed, so the whole next-state array is
-  // written and committed as one block copy. Chains turn the per-slot feed
-  // switch into one head write plus one bulk copy each; widths scale by
-  // the cell's F interleaved words.
-  const std::size_t F = fields_;
-  word_t* next_state = regs_->next_all();
-  const word_t* q = regs_->q_data();
-  if (F == 1) {
-    // Single-word cells are the overwhelmingly common layout and the
-    // hottest loop in the whole simulator — keep the scalar body free of
-    // the per-field loops so F = 1 costs exactly what it did before
-    // multi-field cells existed.
-    for (const Chain& ch : chains_) {
-      next_state[ch.start] =
-          ch.from_input
-              ? cell[0]
-              : static_cast<word_t>(segments_[ch.segment].brams[0]->rdata());
-      if (ch.len > 1)
-        std::memcpy(next_state + ch.start + 1, q + ch.start,
-                    (ch.len - 1) * sizeof(word_t));
-    }
-    for (auto& seg : segments_) {
-      const std::uint32_t p = seg.ptr->q();
-      const std::uint32_t next = p + 1 == seg.bram_len ? 0u : p + 1;
-      mem::BramBank& bram = *seg.brams[0];
-      bram.write(p, regs_->q(seg.in_slot));
-      bram.read(next);
-      seg.ptr->d(next);
-    }
-    return;
-  }
-  for (const Chain& ch : chains_) {
-    word_t* head = next_state + ch.start * F;
-    if (ch.from_input) {
-      for (std::size_t f = 0; f < F; ++f) head[f] = cell[f];
-    } else {
-      const Segment& seg = segments_[ch.segment];
-      for (std::size_t f = 0; f < F; ++f)
-        head[f] = static_cast<word_t>(seg.brams[f]->rdata());
-    }
-    if (ch.len > 1)
-      std::memcpy(next_state + (ch.start + 1) * F, q + ch.start * F,
-                  (ch.len - 1) * F * sizeof(word_t));
-  }
-  // Advance every BRAM segment. The pointer wrap is a compare, not a
-  // modulo — an integer divide per segment per cycle is the single most
-  // expensive scalar op in the shift. All field banks share the pointer.
-  for (auto& seg : segments_) {
-    const std::uint32_t p = seg.ptr->q();
-    const std::uint32_t next =
-        p + 1 == seg.bram_len ? 0u : p + 1;
-    for (std::size_t f = 0; f < F; ++f) {
-      seg.brams[f]->write(p, regs_->q(seg.in_slot + f));
-      seg.brams[f]->read(next);
-    }
-    seg.ptr->d(next);
-  }
+  // The slot just behind the oldest age (age window_len + 1) is read by no
+  // tap, so the entering cell can land there now; moving the head back
+  // onto it at the clock edge makes it age 1 and ages everything else.
+  const std::size_t head = (head_q_ == 0 ? ring_words_ : head_q_) - fields_;
+  for (std::size_t f = 0; f < fields_; ++f) ring_[head + f] = cell[f];
+  head_next_ = static_cast<std::uint32_t>(head);
+  mark_dirty();
 }
 
 word_t StreamBuffer::tap(std::size_t age) const {
   SMACHE_REQUIRE_MSG(is_reg_age(age),
                      "tap(" + std::to_string(age) +
                          ") is not a register-mapped window position");
-  return regs_->q(age_to_slot_[age] * fields_);
+  return tap_slot(slot_of_age(age));
 }
 
 }  // namespace smache::rtl

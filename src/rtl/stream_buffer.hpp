@@ -2,15 +2,21 @@
 // the paper's §III "Stream Buffers and Hybrid use of registers and BRAM".
 //
 // Logically this is a delay line of window_len elements; age 1 is the
-// newest element, age window_len the oldest. Physically, positions the
+// newest element, age window_len the oldest.
+//
+// The hardware it charges (from the plan, at construction). Positions the
 // gather unit must see in the same cycle (the stencil taps, plus the entry
-// and exit stages) are registers; long runs between taps are BRAM FIFO
-// segments bounded by in/out stage registers:
+// and exit stages) are registers, charged as <path>/stream/window_regs;
+// long runs between taps are BRAM FIFO segments bounded by in/out stage
+// registers:
 //
 //   reg(in_stage) -> BRAM circular buffer (bram_len slots) -> reg(out_stage)
 //
-// The BRAM pointer discipline gives a fixed residence of bram_len shifts
-// per value using one read and one write port per cycle:
+// FIFO segment s is charged as one bank per cell field (<path>/stream/fifo<s>
+// for field 0, fifo<s>/f<k> for field k) plus one pointer register shared
+// by the field banks (fifo<s>/ptr). The pointer discipline gives a fixed
+// residence of bram_len shifts per value using one read and one write port
+// per cycle:
 //
 //   per shift: out_stage.d(bram.rdata());           // read issued last shift
 //              bram.write(ptr, in_stage.q());
@@ -18,30 +24,36 @@
 //              ptr <- (ptr + 1) % bram_len
 //
 // bram_len >= 2 is required so the read and write of one shift never touch
-// the same slot; the planner guarantees >= 3.
+// the same slot; the planner guarantees >= 3. Case-R (RegisterOnly plans)
+// degenerates to all positions in registers.
 //
-// Case-R (RegisterOnly plans) degenerates to all positions in registers.
+// How it simulates that hardware. Whichever primitive holds an age, the
+// value there is the cell shifted in `age` shifts ago, so the window is
+// stored as one ring of window_len + 1 cells behind a head index — the
+// buffer's only state element. A shift writes the entering cell into the
+// slot just behind the oldest age, which no tap reads before the clock
+// edge, and schedules the head to step back onto it: the commit is a
+// 4-byte head copy, and every stored cell ages by one. Only register ages
+// are readable, exactly as in the hardware.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "common/word.hpp"
-#include "mem/bram.hpp"
 #include "model/planner.hpp"
-#include "sim/reg.hpp"
+#include "sim/clocked.hpp"
 #include "sim/simulator.hpp"
 
 namespace smache::rtl {
 
-class StreamBuffer {
+class StreamBuffer : public sim::Clocked {
  public:
-  /// `fields` widens every window position to an F-word cell (interleaved
-  /// in the backing register file and per-field BRAM segment banks); the
-  /// plan's geometry stays in cell-unit ages. F = 1 reproduces the
-  /// original word-per-cell buffer bit-for-bit, ledger included.
+  /// `fields` widens every window position to an F-word cell (F
+  /// interleaved words per ring slot; one BRAM bank per field charged per
+  /// segment); the plan's geometry stays in cell-unit ages.
   StreamBuffer(sim::Simulator& sim, const std::string& path,
                const model::BufferPlan& plan, std::size_t fields = 1);
 
@@ -60,68 +72,41 @@ class StreamBuffer {
   /// them.
   word_t tap(std::size_t age) const;
 
-  /// WORD slot backing a register-mapped age (the base of the cell's F
-  /// consecutive words; field f lives at slot + f). Gather units that emit
-  /// the same stencil cases millions of times resolve ages to slots ONCE
-  /// (per case, at table-build time) and then read via tap_slot().
+  /// WORD offset from the window head of a register-mapped age (the base
+  /// of the cell's F consecutive words; field f lives at slot + f). Gather
+  /// units that emit the same stencil cases millions of times resolve ages
+  /// to slots ONCE (per case, at table-build time) and then read via
+  /// tap_slot().
   std::size_t slot_of_age(std::size_t age) const {
     SMACHE_REQUIRE_MSG(is_reg_age(age),
                        "slot_of_age on a non-register window position");
-    return age_to_slot_[age] * fields_;
+    return (age - 1) * fields_;
   }
 
   /// Combinational read by precomputed WORD slot (see slot_of_age).
-  word_t tap_slot(std::size_t slot) const { return regs_->q(slot); }
+  word_t tap_slot(std::size_t slot) const {
+    SMACHE_REQUIRE(slot < window_words_);
+    const std::size_t i = slot + head_q_;
+    return ring_[i < ring_words_ ? i : i - ring_words_];
+  }
 
   /// True if `age` is register-mapped (readable via tap()).
   bool is_reg_age(std::size_t age) const {
-    return age < age_to_slot_.size() && age_to_slot_[age] != kNoSlot;
+    return age < is_reg_.size() && is_reg_[age] != 0;
   }
 
+  void commit() override { head_q_ = head_next_; }
+
  private:
-  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
-
-  struct Segment {
-    std::size_t in_stage_age;
-    std::size_t out_stage_age;
-    std::size_t bram_len;
-    std::size_t in_slot;  // WORD slot of in_stage_age (precomputed)
-    /// One BRAM bank per cell field (width stays within the 64-bit bank
-    /// limit for any F); all banks share one pointer register, like a
-    /// hardware design sharing the address generator across field lanes.
-    std::vector<std::unique_ptr<mem::BramBank>> brams;
-    std::unique_ptr<sim::Reg<std::uint32_t>> ptr;
-  };
-
   std::size_t window_len_;
   std::size_t fields_;
-  // Register-mapped ages: age_to_slot_[age] -> slot in regs_, or kNoSlot.
-  // A flat table, not a map — tap() runs once per stencil element per
-  // cycle, squarely in the simulation hot loop.
-  std::vector<std::size_t> age_to_slot_;
-  std::unique_ptr<sim::RegArray<word_t>> regs_;
-  std::vector<std::size_t> reg_ages_;  // slot -> age (sorted ascending)
-  std::vector<Segment> segments_;
-  // For each register slot: where its next value comes from during a shift.
-  enum class Feed : std::uint8_t { Input, PrevReg, Bram };
-  struct FeedSpec {
-    Feed kind = Feed::Input;
-    std::size_t arg = 0;  // PrevReg: source slot; Bram: segment index
-  };
-  std::vector<FeedSpec> feeds_;
-  // Run-compressed view of feeds_: because reg slots are sorted by age and
-  // distinct, every PrevReg feed is exactly next[slot] = q[slot - 1], so
-  // the slots partition into maximal chains, each headed by the shift
-  // input or a BRAM segment output and followed by `len - 1` consecutive
-  // previous-register copies. A shift is then one head write plus one
-  // memcpy per chain (1 + #segments chains) instead of a per-slot switch.
-  struct Chain {
-    std::size_t start = 0;    // first slot of the chain
-    std::size_t len = 0;      // slots in the chain
-    std::size_t segment = 0;  // feeding segment (head != Input)
-    bool from_input = false;  // head is the shift input
-  };
-  std::vector<Chain> chains_;
+  std::vector<std::uint8_t> is_reg_;  // by age: 1 if register-mapped
+  std::size_t window_words_ = 0;      // window_len * F: the readable words
+  std::size_t ring_words_ = 0;        // (window_len + 1) * F
+  std::vector<word_t> ring_;
+  // Word index of age 1 (committed, and scheduled by shift_cell).
+  std::uint32_t head_q_ = 0;
+  std::uint32_t head_next_ = 0;
 };
 
 }  // namespace smache::rtl

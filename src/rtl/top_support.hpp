@@ -49,12 +49,12 @@ inline std::vector<std::uint32_t> build_case_table(const grid::CaseMap& cases,
 }
 
 /// One tuple element of one stencil case, pre-resolved at table-build time
-/// (window age -> register slot, static index -> bank pointer) so the
+/// (window age -> word offset, static index -> bank pointer) so the
 /// per-cycle gather is a tight switch with no map lookups.
 struct EmitOp {
   enum class Kind : std::uint8_t { Window, Static, Constant, Skip };
   Kind kind = Kind::Skip;
-  std::uint32_t slot = 0;     // Window: stream-buffer register slot
+  std::uint32_t slot = 0;     // Window: word offset from the window head
   std::uint32_t replica = 0;  // Static: read-port replica
   StaticBufferBank* bank = nullptr;
   word_t constant = 0;

@@ -108,8 +108,9 @@ class RegGroup : public Clocked {
   S next_;
 };
 
-/// A block of N registers committed together (e.g. a shift window). One
-/// Clocked registration regardless of N keeps large windows fast to commit.
+/// A block of N registers committed together (e.g. a gathered stencil
+/// tuple). One Clocked registration regardless of N keeps large blocks fast
+/// to commit.
 template <typename T>
 class RegArray : public Clocked {
  public:
@@ -136,33 +137,10 @@ class RegArray : public Clocked {
     return q_[i];
   }
 
-  /// Whole committed array (bulk readers that shift runs of registers).
-  const T* q_data() const noexcept { return q_.data(); }
-
   void d(std::size_t i, const T& v) {
     SMACHE_REQUIRE(i < next_.size());
     next_[i] = v;
     mark_dirty();
-  }
-
-  /// Schedule a one-position shift toward higher indices with `in` entering
-  /// at index 0 (the canonical stream-buffer move). Equivalent to
-  /// d(i+1, q(i)) for all i plus d(0, in), but in one pass — and committed
-  /// as one whole-array copy instead of a per-index walk.
-  void shift_in(const T& in) {
-    for (std::size_t i = next_.size(); i-- > 1;) next_[i] = q_[i - 1];
-    next_[0] = in;
-    mark_dirty();
-  }
-
-  /// Whole-array write access for producers that update every element each
-  /// cycle (e.g. a hybrid window shift): returns the next-state array to
-  /// fill in place — every element the reader will observe must be written
-  /// (unwritten slots republish their previous next-state, which after any
-  /// earlier commit equals the held value). Committed as one block copy.
-  T* next_all() {
-    mark_dirty();
-    return next_.data();
   }
 
   void commit() override { q_ = next_; }

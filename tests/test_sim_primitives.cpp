@@ -47,18 +47,6 @@ TEST(Reg, ChargesExplicitBits) {
   EXPECT_EQ(sim.ledger().total(ResKind::RegisterBits, "grp"), 8u);
 }
 
-TEST(RegArray, ShiftInMovesEveryElement) {
-  Simulator sim;
-  RegArray<int> w(sim, "w", 4, 0);
-  w.shift_in(10);
-  sim.step();
-  w.shift_in(20);
-  sim.step();
-  EXPECT_EQ(w.q(0), 20);
-  EXPECT_EQ(w.q(1), 10);
-  EXPECT_EQ(w.q(2), 0);
-}
-
 TEST(RegArray, SparseWritesCommitTogether) {
   Simulator sim;
   RegArray<int> w(sim, "w", 3, 0);
@@ -258,23 +246,6 @@ TEST(Fifo, PushSlotAndDropMatchPushAndPop) {
     }
     sim.step();
     EXPECT_EQ(copy.size(), zero.size());
-  }
-}
-
-TEST(RegArray, NextAllMatchesPerIndexWrites) {
-  // A whole-array producer (next_all) must commit exactly like the same
-  // writes issued through d().
-  Simulator sim;
-  RegArray<int> a(sim, "a", 5, 0);
-  RegArray<int> b(sim, "b", 5, 0);
-  for (int cycle = 1; cycle <= 8; ++cycle) {
-    int* next = a.next_all();
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      next[i] = cycle * 10 + static_cast<int>(i);
-      b.d(i, cycle * 10 + static_cast<int>(i));
-    }
-    sim.step();
-    for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a.q(i), b.q(i));
   }
 }
 

@@ -156,6 +156,24 @@ TEST(StreamBuffer, StallsPreserveContents) {
   }
 }
 
+TEST(StreamBuffer, OneStateElementPerWindow) {
+  // However the plan splits the window between registers and BRAM, and at
+  // any cell width, the simulation holds it as one ring behind one head:
+  // one state element, committed as one head copy per shift.
+  for (model::StreamImpl impl :
+       {model::StreamImpl::RegisterOnly, model::StreamImpl::Hybrid})
+    for (std::size_t fields : {1u, 3u}) {
+      SCOPED_TRACE("hybrid=" +
+                   std::to_string(impl == model::StreamImpl::Hybrid) +
+                   " F=" + std::to_string(fields));
+      sim::Simulator sim;
+      const auto plan = make_plan(16, 16, impl);
+      const std::size_t before = sim.clocked_count();
+      StreamBuffer sb(sim, "sb", plan, fields);
+      EXPECT_EQ(sim.clocked_count(), before + 1);
+    }
+}
+
 TEST(StreamBuffer, TapOnBramAgeRejected) {
   sim::Simulator sim;
   const auto plan = make_plan(11, 11, model::StreamImpl::Hybrid);
