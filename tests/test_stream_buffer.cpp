@@ -69,7 +69,7 @@ void check_delay_line(const model::BufferPlan& plan, std::size_t fields,
   sim::Simulator sim;
   StreamBuffer sb(sim, "sb", plan, fields);
   Rng rng(seed);
-  std::vector<word_t> fed;  // fed[i * F + f]: field f of the i-th cell in
+  std::vector<word_t> fed;  // fed[i * F + f]: field f of the i-th cell
   std::vector<word_t> cell(fields);
   const std::size_t shifts = 3 * plan.window_len();
   while (fed.size() < shifts * fields) {
