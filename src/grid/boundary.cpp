@@ -33,23 +33,6 @@ AxisResolved resolve_axis(std::int64_t x, std::int64_t dx, std::size_t n,
   return {AxisResolved::Kind::Missing, 0};
 }
 
-Resolved resolve(std::size_t r, std::size_t c, std::int64_t dr,
-                 std::int64_t dc, std::size_t height, std::size_t width,
-                 const BoundarySpec& bc) noexcept {
-  const AxisResolved rr = resolve_axis(static_cast<std::int64_t>(r), dr,
-                                       height, bc.rows);
-  const AxisResolved cc = resolve_axis(static_cast<std::int64_t>(c), dc,
-                                       width, bc.cols);
-  if (rr.kind == AxisResolved::Kind::Missing ||
-      cc.kind == AxisResolved::Kind::Missing)
-    return {Resolved::Kind::Missing, 0, 0, 0, 0};
-  if (rr.kind == AxisResolved::Kind::Constant)
-    return {Resolved::Kind::Constant, 0, 0, bc.rows.constant, 0};
-  if (cc.kind == AxisResolved::Kind::Constant)
-    return {Resolved::Kind::Constant, 0, 0, bc.cols.constant, 0};
-  return {Resolved::Kind::Cell, rr.coord, cc.coord, 0, 0};
-}
-
 Resolved resolve(std::size_t s, std::size_t r, std::size_t c,
                  std::int64_t ds, std::int64_t dr, std::int64_t dc,
                  std::size_t depth, std::size_t height, std::size_t width,
@@ -60,17 +43,7 @@ Resolved resolve(std::size_t s, std::size_t r, std::size_t c,
                                        height, bc.rows);
   const AxisResolved cc = resolve_axis(static_cast<std::int64_t>(c), dc,
                                        width, bc.cols);
-  if (ss.kind == AxisResolved::Kind::Missing ||
-      rr.kind == AxisResolved::Kind::Missing ||
-      cc.kind == AxisResolved::Kind::Missing)
-    return {Resolved::Kind::Missing, 0, 0, 0, 0};
-  if (ss.kind == AxisResolved::Kind::Constant)
-    return {Resolved::Kind::Constant, 0, 0, bc.slices.constant, 0};
-  if (rr.kind == AxisResolved::Kind::Constant)
-    return {Resolved::Kind::Constant, 0, 0, bc.rows.constant, 0};
-  if (cc.kind == AxisResolved::Kind::Constant)
-    return {Resolved::Kind::Constant, 0, 0, bc.cols.constant, 0};
-  return {Resolved::Kind::Cell, rr.coord, cc.coord, 0, ss.coord};
+  return combine(ss, rr, cc, bc);
 }
 
 }  // namespace smache::grid

@@ -92,16 +92,29 @@ struct AxisResolved {
 AxisResolved resolve_axis(std::int64_t x, std::int64_t dx, std::size_t n,
                           const AxisBoundary& b) noexcept;
 
-/// Full 2D resolution. If either axis resolves to Constant the result is the
-/// Constant of that axis (row axis takes precedence when both are constant).
-Resolved resolve(std::size_t r, std::size_t c, std::int64_t dr,
-                 std::int64_t dc, std::size_t height, std::size_t width,
-                 const BoundarySpec& bc) noexcept;
+/// The one precedence rule that turns three axis results into a cell's
+/// resolution. Missing on any axis wins; among Constant axes the outermost
+/// takes precedence (slices, then rows, then cols). The oracle's tap
+/// tables apply it per tap; resolve() below applies it per call.
+inline Resolved combine(const AxisResolved& ss, const AxisResolved& rr,
+                        const AxisResolved& cc,
+                        const BoundarySpec& bc) noexcept {
+  if (ss.kind == AxisResolved::Kind::Missing ||
+      rr.kind == AxisResolved::Kind::Missing ||
+      cc.kind == AxisResolved::Kind::Missing)
+    return {Resolved::Kind::Missing, 0, 0, 0, 0};
+  if (ss.kind == AxisResolved::Kind::Constant)
+    return {Resolved::Kind::Constant, 0, 0, bc.slices.constant, 0};
+  if (rr.kind == AxisResolved::Kind::Constant)
+    return {Resolved::Kind::Constant, 0, 0, bc.rows.constant, 0};
+  if (cc.kind == AxisResolved::Kind::Constant)
+    return {Resolved::Kind::Constant, 0, 0, bc.cols.constant, 0};
+  return {Resolved::Kind::Cell, rr.coord, cc.coord, 0, ss.coord};
+}
 
-/// Full 3D resolution. Missing on any axis wins; among Constant axes the
-/// outermost takes precedence (slices, then rows, then cols — consistent
-/// with the 2D rows-before-cols rule). Identical to the 2D overload when
-/// depth == 1 and ds == 0.
+/// Full resolution of offset (ds, dr, dc) from cell (s, r, c): each axis
+/// through resolve_axis, then combine(). A 2D grid passes s = 0, ds = 0
+/// and depth = 1.
 Resolved resolve(std::size_t s, std::size_t r, std::size_t c,
                  std::int64_t ds, std::int64_t dr, std::int64_t dc,
                  std::size_t depth, std::size_t height, std::size_t width,

@@ -45,7 +45,7 @@ TEST(AxisResolve, ConstantMarks) {
 
 TEST(Resolve2D, InteriorCell) {
   const BoundarySpec bc = BoundarySpec::paper_example();
-  const Resolved r = resolve(5, 5, -1, 0, 11, 11, bc);
+  const Resolved r = resolve(0, 5, 5, 0, -1, 0, 1, 11, 11, bc);
   ASSERT_EQ(r.kind, Resolved::Kind::Cell);
   EXPECT_EQ(r.r, 4u);
   EXPECT_EQ(r.c, 5u);
@@ -54,7 +54,7 @@ TEST(Resolve2D, InteriorCell) {
 TEST(Resolve2D, PaperTopRowWrapsToBottom) {
   // Figure 1(a): the N neighbour of cell 5 (row 0) is cell 115 (row 10).
   const BoundarySpec bc = BoundarySpec::paper_example();
-  const Resolved r = resolve(0, 5, -1, 0, 11, 11, bc);
+  const Resolved r = resolve(0, 0, 5, 0, -1, 0, 1, 11, 11, bc);
   ASSERT_EQ(r.kind, Resolved::Kind::Cell);
   EXPECT_EQ(r.r, 10u);
   EXPECT_EQ(r.c, 5u);
@@ -62,8 +62,10 @@ TEST(Resolve2D, PaperTopRowWrapsToBottom) {
 
 TEST(Resolve2D, PaperLeftColumnIsOpen) {
   const BoundarySpec bc = BoundarySpec::paper_example();
-  EXPECT_EQ(resolve(5, 0, 0, -1, 11, 11, bc).kind, Resolved::Kind::Missing);
-  EXPECT_EQ(resolve(5, 10, 0, 1, 11, 11, bc).kind, Resolved::Kind::Missing);
+  EXPECT_EQ(resolve(0, 5, 0, 0, 0, -1, 1, 11, 11, bc).kind,
+            Resolved::Kind::Missing);
+  EXPECT_EQ(resolve(0, 5, 10, 0, 0, 1, 1, 11, 11, bc).kind,
+            Resolved::Kind::Missing);
 }
 
 TEST(Resolve2D, MissingBeatsConstant) {
@@ -71,20 +73,21 @@ TEST(Resolve2D, MissingBeatsConstant) {
   // other axis would supply a constant.
   const BoundarySpec bc{AxisBoundary::constant_halo(9),
                         AxisBoundary::open()};
-  EXPECT_EQ(resolve(0, 0, -1, -1, 5, 5, bc).kind, Resolved::Kind::Missing);
+  EXPECT_EQ(resolve(0, 0, 0, 0, -1, -1, 1, 5, 5, bc).kind,
+            Resolved::Kind::Missing);
 }
 
 TEST(Resolve2D, RowConstantTakesPrecedence) {
   const BoundarySpec bc{AxisBoundary::constant_halo(1),
                         AxisBoundary::constant_halo(2)};
-  const Resolved r = resolve(0, 0, -1, -1, 5, 5, bc);
+  const Resolved r = resolve(0, 0, 0, 0, -1, -1, 1, 5, 5, bc);
   ASSERT_EQ(r.kind, Resolved::Kind::Constant);
   EXPECT_EQ(r.constant, 1u);
 }
 
 TEST(Resolve2D, DiagonalDoubleWrap) {
   const BoundarySpec bc = BoundarySpec::all_periodic();
-  const Resolved r = resolve(0, 0, -1, -1, 4, 6, bc);
+  const Resolved r = resolve(0, 0, 0, 0, -1, -1, 1, 4, 6, bc);
   ASSERT_EQ(r.kind, Resolved::Kind::Cell);
   EXPECT_EQ(r.r, 3u);
   EXPECT_EQ(r.c, 5u);

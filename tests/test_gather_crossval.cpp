@@ -38,7 +38,8 @@ TEST_P(GatherCrossVal, EveryCellEveryOffset) {
         for (std::size_t j = 0; j < cfg.shape.size(); ++j) {
           const grid::Offset2 o = cfg.shape.offsets()[j];
           const grid::Resolved res =
-              grid::resolve(r, c, o.dr, o.dc, cfg.h, cfg.w, cfg.bc);
+              grid::resolve(0, r, c, 0, o.dr, o.dc, 1, cfg.h, cfg.w,
+                            cfg.bc);
           const GatherSource& g = sources[j];
           SCOPED_TRACE(std::string(cfg.name) + " cell(" +
                        std::to_string(r) + "," + std::to_string(c) +
