@@ -9,7 +9,7 @@ DramModel::DramModel(sim::Simulator& sim, const std::string& path,
       read_req_(sim, path + "/read_req", config.req_queue_depth),
       read_data_(sim, path + "/read_data", config.data_queue_depth),
       write_req_(sim, path + "/write_req", config.write_queue_depth),
-      transit_(config.read_latency >= 1 ? config.read_latency : 1),
+      transit_(config.read_latency, 0),
       sim_(sim),
       mreg_(&sim.metrics()),
       s_backpressure_(
@@ -46,14 +46,12 @@ void DramModel::charge_row(std::uint64_t addr) {
 
 void DramModel::eval() {
   // Inert: nothing queued, nothing in flight, no stall burst draining. A
-  // full eval would only rotate empty transit slots, which is unobservable
-  // — delivery latency is set by the transit line LENGTH, not its fill
-  // level (a word entering with s slots ahead waits (latency - s - 1)
-  // growth cycles plus s + 1 drains = latency cycles regardless of s), so
-  // freezing the line while inert is exact — and so is sleeping until a
-  // request channel commits a push. (An injected stall burst keeps the
-  // model awake: it counts injected_stall_cycles per cycle, which is
-  // observable through stats().)
+  // full eval would only rotate bubbles round the transit line (no word is
+  // in flight), which is unobservable, so freezing the line while inert
+  // is exact — and so is sleeping until a request channel commits a push.
+  // (An injected stall burst keeps the model awake: it counts
+  // injected_stall_cycles per cycle, which is observable through
+  // stats().)
   if (stall_left_ == 0 && idle()) {
     sleep();
     return;
@@ -78,10 +76,9 @@ void DramModel::eval() {
   }
 
   // ---- delivery stage: head of the transit line -> read_data ----
-  const bool line_full = transit_.size() >= config_.read_latency;
-  if (line_full && !transit_.empty()) {
-    const bool head_valid = transit_.front().has_value();
-    if (head_valid && !read_data_.can_push()) {
+  std::uint64_t& head = transit_[transit_head_];
+  if ((head & kFetched) != 0) {
+    if (!read_data_.can_push()) {
       mreg_->count(s_backpressure_);
       // Back-pressure from the design: the whole read pipe holds. With no
       // posted writes left to drain this state is fully frozen — every
@@ -98,40 +95,37 @@ void DramModel::eval() {
     // depend on it. The model stays awake throughout: inflight_words_ > 0
     // keeps idle() false, and the per-cycle injected_delay_cycles count is
     // observable through stats().
-    if (head_valid && !head_delay_decided_ && config_.delay_every != 0) {
+    if (!head_delay_decided_ && config_.delay_every != 0) {
       head_delay_decided_ = true;
       if (++words_since_delay_ >= config_.delay_every) {
         words_since_delay_ = 0;
         delay_left_ = config_.delay_cycles;
       }
     }
-    if (head_valid && delay_left_ > 0) {
+    if (delay_left_ > 0) {
       --delay_left_;
       ++stats_.injected_delay_cycles;
       return;
     }
-    if (head_valid) {
-      read_data_.push(*transit_.front());
-      ++stats_.words_read;
-      ++stats_.read_busy_cycles;
-      --inflight_words_;
-      head_delay_decided_ = false;
-      if (slog_->enabled() && !pending_reads_.empty()) {
-        // The delivered word always belongs to the oldest open
-        // transaction (strict FIFO service); closing it here stamps the
-        // full request-pop -> last-word-delivered lifetime.
-        PendingRead& p = pending_reads_.front();
-        if (--p.words_left == 0) {
-          slog_->add(read_lane_, p.begin, sim_.now() + 1);
-          pending_reads_.pop_front();
-        }
+    read_data_.push(static_cast<word_t>(head));
+    ++stats_.words_read;
+    ++stats_.read_busy_cycles;
+    --inflight_words_;
+    head_delay_decided_ = false;
+    if (slog_->enabled() && !pending_reads_.empty()) {
+      // The delivered word always belongs to the oldest open transaction
+      // (strict FIFO service); closing it here stamps the full
+      // request-pop -> last-word-delivered lifetime.
+      PendingRead& p = pending_reads_.front();
+      if (--p.words_left == 0) {
+        slog_->add(read_lane_, p.begin, sim_.now() + 1);
+        pending_reads_.pop_front();
       }
     }
-    transit_.pop_front();
   }
 
   // ---- issue stage: one word per cycle when the bus is free ----
-  std::optional<word_t> issued;
+  std::uint64_t issued = 0;  // a bubble unless a word issues
   const bool bus_free = !config_.shared_bus || !wrote;
   if (wait_issue_ > 0) {
     --wait_issue_;
@@ -150,7 +144,7 @@ void DramModel::eval() {
         pending_reads_.push_back(PendingRead{sim_.now(), req.burst});
     }
     if (burst_left_ > 0 && wait_issue_ == 0) {
-      issued = store_[cur_addr_];
+      issued = kFetched | store_[cur_addr_];
       ++inflight_words_;
       --burst_left_;
       ++cur_addr_;
@@ -174,7 +168,8 @@ void DramModel::eval() {
       }
     }
   }
-  transit_.push_back(issued);
+  head = issued;
+  if (++transit_head_ == transit_.size()) transit_head_ = 0;
 }
 
 }  // namespace smache::mem

@@ -28,7 +28,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,7 +36,6 @@
 #include "mem/dram_config.hpp"
 #include "sim/clocked.hpp"
 #include "sim/fifo.hpp"
-#include "sim/ring_buffer.hpp"
 #include "sim/simulator.hpp"
 
 namespace smache::mem {
@@ -137,9 +135,16 @@ class DramModel : public sim::Module {
   std::uint64_t words_since_delay_ = 0;
   bool head_delay_decided_ = false;
   std::int64_t open_row_ = -1;
-  // TRANSIT line: one slot per latency stage, at most `read_latency` deep —
-  // a fixed ring buffer, not a deque, since the depth never changes.
-  sim::RingBuffer<std::optional<word_t>> transit_;
+  // TRANSIT line: a fixed delay line of `read_latency` slots behind one
+  // head index, pre-filled with bubbles. A slot holds a fetched word with
+  // kFetched set, or 0 for a bubble. Each cycle that the read path moves,
+  // the head slot delivers, takes the issued word (or a bubble) and the
+  // head advances, so a word delivers `read_latency` moving cycles after
+  // it issues.
+  static constexpr std::uint64_t kFetched = std::uint64_t{1} << 32;
+  static_assert(sizeof(word_t) == 4, "a transit slot packs one 32-bit word");
+  std::vector<std::uint64_t> transit_;
+  std::uint32_t transit_head_ = 0;
   std::uint32_t inflight_words_ = 0;
 
   // -- observability --

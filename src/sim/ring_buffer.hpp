@@ -1,8 +1,8 @@
-// Fixed-capacity inline ring buffer — the storage behind sim::Fifo and the
-// DRAM transit pipe. Capacity is known at construction (hardware FIFOs have
-// a synthesised depth), so the backing store is one flat allocation made
-// once; push/pop are two or three scalar ops with no pointer chasing, unlike
-// the chunked std::deque they replace in the simulation hot loop.
+// Fixed-capacity inline ring buffer — the storage behind sim::Fifo.
+// Capacity is known at construction (hardware FIFOs have a synthesised
+// depth), so the backing store is one flat allocation made once; push/pop
+// are two or three scalar ops with no pointer chasing, unlike the chunked
+// std::deque they replace in the simulation hot loop.
 #pragma once
 
 #include <cstddef>
