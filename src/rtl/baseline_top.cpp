@@ -5,6 +5,20 @@
 
 namespace smache::rtl {
 
+namespace {
+
+/// The collector's tuple registers, charged where the constructor builds
+/// them so the ledger keeps its charge order.
+std::vector<word_t> tuple_registers(sim::Simulator& sim,
+                                    const std::string& path,
+                                    std::size_t words) {
+  sim.ledger().add(path + "/datapath/tuple_regs", sim::ResKind::RegisterBits,
+                   static_cast<std::uint64_t>(words) * kWordBits);
+  return std::vector<word_t>(words, 0);
+}
+
+}  // namespace
+
 BaselineTop::BaselineTop(sim::Simulator& sim, const std::string& path,
                          std::size_t height, std::size_t width,
                          const grid::StencilShape& shape,
@@ -32,8 +46,8 @@ BaselineTop::BaselineTop(sim::Simulator& sim, const std::string& path,
              {path + "/ctrl/col_elem",
               smache::count_bits(shape.size() * fields_)},
              {path + "/ctrl/wb_count", smache::count_bits(cells_)}}),
-      tuple_regs_(sim, path + "/datapath/tuple_regs",
-                  shape.size() * kernel_spec.fields(), 0, kWordBits),
+      tuple_(tuple_registers(sim, path,
+                             shape.size() * kernel_spec.fields())),
       writer_(sim, path, dram.write_req(), fields_, cells_),
       mreg_(&sim.metrics()),
       s_req_bp_(mreg_->slot(path, "/stall/request_backpressure",
@@ -42,7 +56,8 @@ BaselineTop::BaselineTop(sim::Simulator& sim, const std::string& path,
           mreg_->slot(path, "/stall/dram_wait", obs::MetricKind::Counter)) {
   SMACHE_REQUIRE(steps >= 1);
   set_obs_name(path);
-  SMACHE_REQUIRE(dram.size_words() >= 2 * words_);
+  SMACHE_REQUIRE_MSG(dram.size_words() >= 2 * words_,
+                     "DRAM must hold two grid regions (ping-pong)");
   scratch_.resize(shape.size() * fields_);
   // Activity gating: the requester stalls only on request-channel space,
   // the collector only on data arrival / write-channel space — all channel
@@ -53,7 +68,7 @@ BaselineTop::BaselineTop(sim::Simulator& sim, const std::string& path,
 
   // Build the per-case source table (the baseline's address/mask logic).
   const std::size_t n_cases = cases_.case_count();
-  sources_.assign(n_cases, std::vector<Source>(shape.size()));
+  sources_.assign(n_cases * shape.size(), Source{});
   for (std::size_t zs = 0; zs < cases_.slices().count(); ++zs) {
   for (std::size_t zr = 0; zr < cases_.rows().count(); ++zr) {
     for (std::size_t zc = 0; zc < cases_.cols().count(); ++zc) {
@@ -66,7 +81,7 @@ BaselineTop::BaselineTop(sim::Simulator& sim, const std::string& path,
         const grid::Resolved res =
             grid::resolve(s_rep, r_rep, c_rep, o.ds, o.dr, o.dc, depth,
                           height, width, bc);
-        Source& s = sources_[id][j];
+        Source& s = sources_[id * shape.size() + j];
         switch (res.kind) {
           case grid::Resolved::Kind::Missing:
             // Dummy read of the centre; masked out of the compute.
@@ -110,19 +125,6 @@ std::uint64_t BaselineTop::output_base() const noexcept {
   return (steps_ % 2 == 0) ? 0 : words_;
 }
 
-std::uint64_t BaselineTop::element_addr(std::uint64_t cell,
-                                        const Source& s) const {
-  // Dummy read of the centre cell's words.
-  if (!s.is_data) return in_base() + cell * fields_;
-  // (r + row_shift) * W + (c + col_shift) == cell + lin_shift; the zone
-  // resolution that produced the shifts guarantees the target stays inside
-  // the grid for every cell of the case. Cell addresses scale by F words.
-  const std::int64_t addr = static_cast<std::int64_t>(cell) + s.lin_shift;
-  SMACHE_ASSERT(addr >= 0 &&
-                addr < static_cast<std::int64_t>(cells_));
-  return in_base() + static_cast<std::uint64_t>(addr) * fields_;
-}
-
 void BaselineTop::eval_run() {
   const std::size_t tuple = shape_.size();
   const std::size_t tuple_words = tuple * fields_;
@@ -133,8 +135,8 @@ void BaselineTop::eval_run() {
   //    burst: the whole cell of the addressed grid point) --
   if (c.req_cell < cells_) {
     if (dram_.read_req().can_push()) {
-      const std::size_t case_id = case_of_cell_[c.req_cell];
-      const Source& s = sources_[case_id][c.req_elem];
+      const Source& s =
+          sources_[case_of_cell_[c.req_cell] * tuple + c.req_elem];
       dram_.read_req().push(
           mem::DramReadReq{element_addr(c.req_cell, s),
                            static_cast<std::uint32_t>(fields_)});
@@ -165,16 +167,18 @@ void BaselineTop::eval_run() {
       const word_t v = dram_.read_data().pop();
       did_work = true;
       if (!last) {
-        tuple_regs_.d(c.col_elem, v);
+        SMACHE_ASSERT(c.col_elem < tuple_.size());
+        tuple_[c.col_elem] = v;
         ctrl_.d().col_elem = c.col_elem + 1;
       } else {
         const std::uint64_t cell = c.col_cell;
-        const std::size_t case_id = case_of_cell_[cell];
+        const Source* srcs = &sources_[case_of_cell_[cell] * tuple];
         for (std::size_t j = 0; j < tuple; ++j) {
-          const Source& s = sources_[case_id][j];
+          const Source& s = srcs[j];
           for (std::size_t f = 0; f < fields_; ++f) {
             const std::size_t w = j * fields_ + f;
-            const word_t raw = w + 1 == tuple_words ? v : tuple_regs_.q(w);
+            SMACHE_ASSERT(w < tuple_.size());
+            const word_t raw = w + 1 == tuple_words ? v : tuple_[w];
             if (s.is_data) scratch_[w] = grid::TupleElem{raw, true};
             else if (s.is_constant)
               scratch_[w] = grid::TupleElem{s.constant, true};
@@ -233,6 +237,10 @@ void BaselineTop::eval() {
       sleep();
       break;
   }
+  // The clock edge of the registers only this top reads. The writer stages
+  // nothing at F = 1.
+  ctrl_.settle();
+  if (fields_ > 1) writer_.settle();
 }
 
 }  // namespace smache::rtl

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "common/word.hpp"
 #include "grid/boundary.hpp"
 #include "grid/stencil.hpp"
@@ -80,10 +81,10 @@ class BaselineTop : public sim::Module {
     std::int64_t lin_shift = 0;
   };
 
-  /// All controller registers as one state element (single commit per
-  /// cycle); ledger charges stay per field (see sim::RegGroup). The
-  /// requester reads F-word cells (one burst request per tuple element) and
-  /// col_elem counts tuple WORDS (taps * F).
+  /// All controller registers as one group, settled by eval() (see
+  /// sim::RegGroup); ledger charges stay per field. The requester reads
+  /// F-word cells (one burst request per tuple element) and col_elem counts
+  /// tuple WORDS (taps * F).
   struct Ctrl {
     std::uint64_t req_cell = 0;
     std::uint64_t col_cell = 0;
@@ -95,7 +96,19 @@ class BaselineTop : public sim::Module {
 
   std::uint64_t in_base() const noexcept;
   std::uint64_t out_base() const noexcept;
-  std::uint64_t element_addr(std::uint64_t cell, const Source& s) const;
+  /// DRAM word address of tuple element `s` of `cell` (inline: the
+  /// requester computes one every cycle).
+  std::uint64_t element_addr(std::uint64_t cell, const Source& s) const {
+    // Dummy read of the centre cell's words.
+    if (!s.is_data) return in_base() + cell * fields_;
+    // (r + row_shift) * W + (c + col_shift) == cell + lin_shift; the zone
+    // resolution that produced the shifts guarantees the target stays
+    // inside the grid for every cell of the case. Cell addresses scale by
+    // F words.
+    const std::int64_t addr = static_cast<std::int64_t>(cell) + s.lin_shift;
+    SMACHE_ASSERT(addr >= 0 && addr < static_cast<std::int64_t>(cells_));
+    return in_base() + static_cast<std::uint64_t>(addr) * fields_;
+  }
   void eval_run();
 
   std::size_t height_, width_, depth_, cells_, fields_, words_, steps_;
@@ -104,17 +117,23 @@ class BaselineTop : public sim::Module {
   KernelSpec kernel_spec_;
   mem::DramModel& dram_;
 
-  // sources_[case_id][element]
-  std::vector<std::vector<Source>> sources_;
+  // sources_[case_id * taps + element], one flat table the requester and
+  // collector index every cycle.
+  std::vector<Source> sources_;
   // cell -> case id, precomputed: case_of() resolves zones with a per-axis
   // walk, far too slow to repeat for every request and collect of every
   // cycle. Behavioural lookup only — charges nothing to the ledger, exactly
   // like sources_. Built lazily on the first eval (see eval()).
   std::vector<std::uint32_t> case_of_cell_;
 
+  // The FSM register commits two-phase; ctrl_, tuple_ and the writer's
+  // staging are read only here and settled by eval().
   sim::FsmState<Top> top_;
   sim::RegGroup<Ctrl> ctrl_;
-  sim::RegArray<word_t> tuple_regs_;
+  // The collector's tuple registers (<path>/datapath/tuple_regs), taps * F
+  // words, written in place: word w is read only on a later cycle, the one
+  // collecting the tuple's last word (which is the popped value itself).
+  std::vector<word_t> tuple_;
   // DRAM-facing write port: the collector's result cells.
   CellWriter writer_;
 

@@ -10,11 +10,14 @@
 //     following cycles from staging registers (wb_field / wb_index /
 //     wb_vals). It reports when a cell is fully written.
 //
-// Both charge their staging registers to the ledger only for F > 1. At
-// F = 1 every word is a whole cell: nothing stages, no staging register is
-// marked dirty, and the port is the pop-and-shift / pop-and-post datapath
-// of single-word cells. The per-cycle methods stay inline here because
-// they sit in every top's hot loop.
+// Both charge their staging registers to the ledger only for F > 1. The
+// staging registers are read only by the port's owning top, which commits
+// them with settle() at the end of its eval (sim::RegGroup). At F = 1
+// every word is a whole cell: nothing stages, no staging register is
+// written (the top skips settling the port), and the port is the
+// pop-and-shift / pop-and-post datapath of single-word cells. The
+// per-cycle methods stay inline here because they sit in every top's hot
+// loop.
 #pragma once
 
 #include <array>
@@ -60,6 +63,9 @@ class CellReader {
     if (q.fill != 0) stage_.d().fill = 0;
     return true;
   }
+
+  /// The owner's clock edge for the staging registers (F > 1 only).
+  void settle() noexcept { stage_.settle(); }
 
  private:
   struct Stage {
@@ -125,6 +131,9 @@ class CellWriter {
     stage_.d().field = last ? 0 : q.field + 1;
     return last ? Step::Cell : Step::Word;
   }
+
+  /// The owner's clock edge for the staging registers (F > 1 only).
+  void settle() noexcept { stage_.settle(); }
 
  private:
   struct Stage {

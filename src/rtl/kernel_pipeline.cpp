@@ -1,5 +1,7 @@
 #include "rtl/kernel_pipeline.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
 
 namespace smache::rtl {
@@ -17,7 +19,7 @@ KernelPipeline::KernelPipeline(sim::Simulator& sim, const std::string& path,
       out_(sim, path + "/out", 2,
            static_cast<std::uint32_t>(32 * spec.fields()) +
                smache::count_bits(grid_cells)),
-      pipe_(sim, latency),
+      pipe_(latency),
       mreg_(&sim.metrics()),
       s_out_bp_(mreg_->slot(path, "/stall/out_backpressure",
                             obs::MetricKind::Counter)) {
@@ -29,9 +31,8 @@ KernelPipeline::KernelPipeline(sim::Simulator& sim, const std::string& path,
   for (std::uint32_t s = 0; s < latency; ++s) {
     // Stage 0 still holds the tuple-wide partial state; later stages carry
     // a narrowing payload down to one cell (F words, plus the wide partial
-    // accumulator in stage 1). Charged per stage exactly like the discrete
-    // stage registers the StagePipe replaces; F = 1 keeps the original
-    // widths bit-for-bit.
+    // accumulator in stage 1). F = 1 keeps the original widths
+    // bit-for-bit.
     const std::uint32_t payload_bits =
         s == 0 ? static_cast<std::uint32_t>(tuple_size * fields_ * 33)
                : (s == 1 ? 64u * f32 : 32u * f32);
@@ -49,7 +50,7 @@ KernelPipeline::KernelPipeline(sim::Simulator& sim, const std::string& path,
 bool KernelPipeline::empty() const noexcept {
   if (!in_.empty() || !out_.empty()) return false;
   for (std::uint32_t s = 0; s < latency_; ++s)
-    if (pipe_.q(s).valid) return false;
+    if (pipe_[s].valid) return false;
   return true;
 }
 
@@ -66,7 +67,7 @@ void KernelPipeline::eval() {
   // All-or-nothing advance: the pipeline only moves when its tail can
   // retire into the output FIFO (or the tail is a bubble). A freeze is
   // quiescent too — nothing changes until the output channel commits a pop.
-  const Stage& tail = pipe_.q(latency_ - 1);
+  const Stage& tail = pipe_.back();
   const bool can_retire = !tail.valid || out_.can_push();
   if (!can_retire) {
     mreg_->count(s_out_bp_);
@@ -81,9 +82,8 @@ void KernelPipeline::eval() {
     --occupancy_;
   }
 
-  // Whole-pipe shift, scheduled as one write and committed as one copy.
-  Stage* next = pipe_.next_all();
-  for (std::size_t s = latency_; s-- > 1;) next[s] = pipe_.q(s - 1);
+  // Whole-pipe shift in place, tail first (this overwrites `tail`).
+  std::copy_backward(pipe_.begin(), pipe_.end() - 1, pipe_.end());
 
   // Head stage: accept a new tuple if available; the arithmetic result is
   // computed here and carried through the remaining stages (the stage regs
@@ -96,11 +96,11 @@ void KernelPipeline::eval() {
     head.index = msg.index;
     apply_kernel_cells(spec_, TupleView{msg.elems.data(), msg.count},
                        fields_, head.value.data());
-    next[0] = head;
+    pipe_[0] = head;
     in_.drop();
     ++occupancy_;
   } else {
-    next[0] = Stage{};
+    pipe_[0] = Stage{};
   }
 }
 

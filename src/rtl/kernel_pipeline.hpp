@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "common/bits.hpp"
@@ -75,43 +74,16 @@ class KernelPipeline : public sim::Module {
     std::array<word_t, kMaxFields> value{};
   };
 
-  /// All pipeline stages as ONE state element: the whole-pipe shift is a
-  /// single next-state write and a single block-copy commit, instead of a
-  /// dirty-list entry per stage register. Ledger charges stay per stage
-  /// (the KernelPipeline constructor adds them with the same paths and
-  /// widths as the discrete Reg<Stage> elements this replaces).
-  class StagePipe : public sim::Clocked {
-   public:
-    StagePipe(sim::Simulator& sim, std::uint32_t latency)
-        : q_(latency), next_(latency) {
-      static_assert(std::is_trivially_copyable_v<Stage>,
-                    "StagePipe's block-copy commit needs a trivially "
-                    "copyable Stage");
-      sim.register_clocked(this);
-      set_copy_commit(q_.data(), next_.data(),
-                      static_cast<std::uint32_t>(latency * sizeof(Stage)));
-    }
-    const Stage& q(std::size_t s) const noexcept { return q_[s]; }
-    /// Next-state array; the caller writes every stage, then the commit is
-    /// one memcpy.
-    Stage* next_all() {
-      mark_dirty();
-      return next_.data();
-    }
-    void commit() override { q_ = next_; }
-
-   private:
-    std::vector<Stage> q_;
-    std::vector<Stage> next_;
-  };
-
   KernelSpec spec_;
   std::size_t tuple_size_;  // taps (cells), NOT words
   std::size_t fields_;      // words per cell (spec_.fields())
   std::uint32_t latency_;
   sim::Fifo<TupleMsg> in_;
   sim::Fifo<ResultMsg> out_;
-  StagePipe pipe_;
+  // The stage registers, head first. Only eval() reads them, so it shifts
+  // them in place, tail first: every stage takes its predecessor's value
+  // from before the shift (see "Which state is two-phase", clocked.hpp).
+  std::vector<Stage> pipe_;
   // Valid tuples currently in the stage registers (behavioural bookkeeping,
   // private to eval): when zero with no input waiting, the pipeline is
   // quiescent — eval sleeps until the input channel's push commit wakes it.

@@ -176,6 +176,14 @@ void SmacheTop::eval() {
       sleep();
       break;
   }
+  // The clock edge of the registers only this top reads. The cell port
+  // stages nothing at F = 1.
+  ctrl_.settle();
+  for (std::size_t k = 1; k < stages_.size(); ++k) stages_[k].ctrl->settle();
+  if (fields_ > 1) {
+    reader_.settle();
+    writer_.settle();
+  }
 }
 
 // ---------------------------------------------------------------------------

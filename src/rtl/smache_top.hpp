@@ -111,10 +111,9 @@ class SmacheTop : public sim::Module {
     std::uint64_t emit_next = 0;
   };
 
-  /// All controller registers as one state element (single commit per
-  /// cycle), stage 0's counters included. Field paths/widths are charged
-  /// to the ledger exactly like the discrete Regs they replace; hold
-  /// semantics are identical (see sim::RegGroup).
+  /// All controller registers as one group, stage 0's counters included,
+  /// settled by eval() (see sim::RegGroup). Field paths/widths are charged
+  /// to the ledger per field.
   struct Ctrl {
     StageCtrl head;  // stage 0
     std::int64_t rdata_center = -1;
@@ -138,7 +137,7 @@ class SmacheTop : public sim::Module {
   struct Stage {
     std::unique_ptr<StreamBuffer> window;
     std::unique_ptr<KernelPipeline> kernel;
-    std::unique_ptr<sim::RegGroup<StageCtrl>> ctrl;  // k >= 1
+    std::unique_ptr<sim::RegGroup<StageCtrl>> ctrl;  // k >= 1, top-settled
     std::unique_ptr<sim::Fifo<CellMsg>> input;       // k >= 1
   };
 
@@ -177,7 +176,9 @@ class SmacheTop : public sim::Module {
   std::vector<Stage> stages_;
   StaticBufferSet statics_;  // no banks when fused
 
-  // Controller state (all charged under <path>/ctrl).
+  // Controller state (all charged under <path>/ctrl). The FSM register
+  // commits two-phase; ctrl_, the stage counters and the cell port's
+  // staging are read only here and settled at the end of eval().
   sim::FsmState<Top> top_;
   sim::RegGroup<Ctrl> ctrl_;
   // DRAM-facing cell port: stage 0's input cells, the last stage's

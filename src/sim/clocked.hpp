@@ -8,6 +8,23 @@
 //   * a value written at cycle t is visible at cycle t+1, exactly one
 //     flip-flop stage.
 //
+// Which state is two-phase. Only state that ANOTHER module can read needs
+// the commit phase: FIFO channels, BRAM ports, the stream window and FSM
+// registers (Reg). Their readers evaluate in the same cycle as the writer,
+// in an order that must not matter, so a write may land only at the clock
+// edge. State that only its owner reads — the tops' controller and cell-port
+// staging registers (RegGroup), the kernel's stage registers, the
+// baseline's tuple registers — is committed by the owner itself at the end
+// of its own eval(), and is not a Clocked element. That is exact: no other
+// eval can see such state in the middle of a cycle, the owner reads its
+// committed value only before it settles, and between cycles (done(),
+// min_cycles_to_done()) the value is the committed one either way. Owners
+// write such state only on evals that did work, so they stay awake for the
+// next cycle. Keep it that way: the idle/fast-forward split
+// (sched/cycles/{idle,fastforward}) is pinned to the schedule a two-phase
+// register gives, and a write on an eval that also sleeps would not hold
+// the next all-asleep cycle as a commit cycle.
+//
 // Commit scheduling is activity-based: scheduling a write enqueues the
 // element on the owning Simulator's RETAINED commit set (via mark_dirty()),
 // and the commit phase walks only that set. Most registered elements are
@@ -37,7 +54,8 @@ namespace smache::sim {
 class Simulator;
 class Module;
 
-/// A state element participating in the clock edge. Implementations must be
+/// A state element participating in the clock edge: state another module
+/// can read (see "Which state is two-phase" above). Implementations must be
 /// registered with the Simulator (construction does this), must call
 /// mark_dirty() whenever a next-state write is scheduled, and must only
 /// mutate observable state inside commit(). commit() is invoked only on
@@ -130,7 +148,8 @@ class Clocked {
 
 /// A behavioural block evaluated once per cycle while AWAKE. eval() may read
 /// committed state anywhere and schedule writes on Regs/Fifos/Brams; it must
-/// not observe its own same-cycle writes.
+/// not observe its own same-cycle writes. State only the module itself reads
+/// it may keep outside the commit phase, settled at the end of eval().
 ///
 /// Activity gating: a module that can prove it is quiescent — its eval()
 /// would change NO observable state (registers, FIFOs, BRAMs, DRAM stats,

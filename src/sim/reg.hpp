@@ -1,16 +1,16 @@
-// Flip-flop primitives: Reg<T> (a single register) and RegArray<T> (a block
-// of registers with one commit). Both charge their bit counts to the
-// ResourceLedger so elaborated designs produce synthesis-style reports.
+// Flip-flop primitives: Reg<T> (a single register, committed two-phase by
+// the Simulator, so any module may read it) and RegGroup<S> (registers only
+// their owning module reads, committed by the owner itself). Both charge
+// their bit counts to the ResourceLedger so elaborated designs produce
+// synthesis-style reports.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <type_traits>
 #include <vector>
 
-#include "common/assert.hpp"
 #include "sim/clocked.hpp"
 #include "sim/simulator.hpp"
 
@@ -54,20 +54,18 @@ class Reg : public Clocked {
   T next_;
 };
 
-/// A GROUP of logically separate registers committed as one state element:
-/// S is a trivially copyable struct whose fields are the grouped registers
-/// (e.g. a top-level controller's counters). One mark_dirty/one block-copy
-/// commit per cycle replaces a dirty-list entry and a commit per field,
-/// which is what makes the tops' per-cycle bookkeeping cheap.
-///
-/// Semantics match one Reg per field exactly: fields assigned through d()
-/// take the scheduled value at the clock edge, untouched fields hold (the
-/// next-state struct always carries the committed value for them, so the
-/// block copy republishes it unchanged). Ledger charges are passed per
-/// field — paths and widths identical to the discrete Regs they replace —
-/// so synthesis-style reports cannot tell the difference.
+/// A GROUP of logically separate registers that only their owning module
+/// reads: S is a trivially copyable struct whose fields are the grouped
+/// registers (e.g. a top-level controller's counters). A group is not a
+/// Clocked element: the owner commits it with settle() at the end of its
+/// own eval(), which matches one Reg per field exactly under the contract
+/// in clocked.hpp ("Which state is two-phase"). Fields assigned through
+/// d() take the scheduled value at settle(); untouched fields hold (the
+/// next-state struct always carries the committed value for them). Ledger
+/// charges are passed per field, with the paths and widths of one Reg per
+/// field, so synthesis-style reports cannot tell the difference.
 template <typename S>
-class RegGroup : public Clocked {
+class RegGroup {
  public:
   struct FieldCharge {
     std::string path;
@@ -86,68 +84,23 @@ class RegGroup : public Clocked {
       : q_(init), next_(init) {
     static_assert(std::is_trivially_copyable_v<S>,
                   "RegGroup needs a trivially copyable state struct");
-    sim.register_clocked(this);
-    set_copy_commit(&q_, &next_, sizeof(S));
     for (const FieldCharge& f : fields)
       sim.ledger().add(f.path, ResKind::RegisterBits, f.bits);
   }
 
-  /// Committed state (start-of-cycle view).
+  /// Committed state (start-of-cycle view until the owner settles).
   const S& q() const noexcept { return q_; }
 
   /// Next-state struct for field writes; everything not assigned holds.
-  S& d() {
-    mark_dirty();
-    return next_;
-  }
+  S& d() noexcept { return next_; }
 
-  void commit() override { q_ = next_; }
+  /// The owner's clock edge: publish this cycle's writes. Call once, at
+  /// the end of the eval that may have written the group.
+  void settle() noexcept { q_ = next_; }
 
  private:
   S q_;
   S next_;
-};
-
-/// A block of N registers committed together (e.g. a gathered stencil
-/// tuple). One Clocked registration regardless of N keeps large blocks fast
-/// to commit.
-template <typename T>
-class RegArray : public Clocked {
- public:
-  RegArray(Simulator& sim, std::string_view path, std::size_t count, T init,
-           std::uint32_t bits_each = default_bits<T>())
-      : q_(count, init), next_(count, init) {
-    sim.register_clocked(this);
-    // The commit is always a whole-array block copy: every commit
-    // re-establishes q_ == next_, so unwritten slots republish their held
-    // value — a per-index write set would commit the identical bytes. For
-    // trivially copyable T that is the simulator's inline memcpy fast
-    // path; no virtual dispatch, no per-index bookkeeping.
-    if constexpr (std::is_trivially_copyable_v<T>)
-      set_copy_commit(q_.data(), next_.data(),
-                      static_cast<std::uint32_t>(count * sizeof(T)));
-    sim.ledger().add(path, ResKind::RegisterBits,
-                     static_cast<std::uint64_t>(count) * bits_each);
-  }
-
-  std::size_t size() const noexcept { return q_.size(); }
-
-  const T& q(std::size_t i) const {
-    SMACHE_REQUIRE(i < q_.size());
-    return q_[i];
-  }
-
-  void d(std::size_t i, const T& v) {
-    SMACHE_REQUIRE(i < next_.size());
-    next_[i] = v;
-    mark_dirty();
-  }
-
-  void commit() override { q_ = next_; }
-
- private:
-  std::vector<T> q_;
-  std::vector<T> next_;
 };
 
 }  // namespace smache::sim

@@ -65,6 +65,9 @@ class Simulator {
                        "state element already registered with another "
                        "simulator");
     c->sim_ = this;
+    // One reservation covers a typical design (a top and its DRAM), so
+    // elaboration does not regrow the list at every doubling.
+    if (clocked_.empty()) clocked_.reserve(kTypicalElements);
     clocked_.push_back(c);
     // The commit set can never exceed the registered population; sizing it
     // up front keeps mark_dirty a pure append in the hot loop.
@@ -312,9 +315,9 @@ class Simulator {
       ++keep;
       switch (c->fast_kind_) {
         case Clocked::FastCommit::Copy:
-          // Single-word registers (the common Reg<T> widths) commit with
-          // one inline move; only block elements (RegArray/RegGroup/stage
-          // pipes) go through memcpy.
+          // Single-word registers (the common Reg<T> widths) and the
+          // stream window's head commit with one inline move; wider copy
+          // commits go through memcpy.
           switch (c->fast_bytes_) {
             case 1:
               *static_cast<std::uint8_t*>(c->fast_a_) =
@@ -432,6 +435,8 @@ class Simulator {
     m->obs_lane_ = spans_.lane(module_obs_name(m, idx), "awake");
     if (!m->asleep_) m->obs_awake_since_ = cycle_;
   }
+
+  static constexpr std::size_t kTypicalElements = 32;
 
   friend class Clocked;  // mark_dirty() appends to commit_set_
   friend class Module;   // sleep/sleep_for/wake flip scheduling state

@@ -1,5 +1,5 @@
-// Unit tests for the two-phase simulation substrate: Reg, RegArray, Fifo,
-// FsmState, ResourceLedger, Simulator scheduling semantics.
+// Unit tests for the simulation substrate: Reg, the owner-settled RegGroup,
+// Fifo, FsmState, ResourceLedger, Simulator scheduling semantics.
 #include <gtest/gtest.h>
 
 #include "common/assert.hpp"
@@ -47,22 +47,62 @@ TEST(Reg, ChargesExplicitBits) {
   EXPECT_EQ(sim.ledger().total(ResKind::RegisterBits, "grp"), 8u);
 }
 
-TEST(RegArray, SparseWritesCommitTogether) {
+struct GroupState {
+  int a = 0;
+  int b = 0;
+  bool flag = false;
+};
+
+TEST(RegGroup, OwnerReadsCommittedValueUntilSettle) {
   Simulator sim;
-  RegArray<int> w(sim, "w", 3, 0);
-  w.d(0, 1);
-  w.d(2, 3);
-  EXPECT_EQ(w.q(0), 0);
+  RegGroup<GroupState> g(sim, GroupState{1, 2, false}, {});
+  g.d().a = 10;
+  g.d().flag = true;
+  EXPECT_EQ(g.q().a, 1) << "a write must not be visible before settle()";
+  EXPECT_FALSE(g.q().flag);
+  // The simulator's clock edge does not commit an owner-settled group.
   sim.step();
-  EXPECT_EQ(w.q(0), 1);
-  EXPECT_EQ(w.q(1), 0);
-  EXPECT_EQ(w.q(2), 3);
+  EXPECT_EQ(g.q().a, 1);
+  g.settle();
+  EXPECT_EQ(g.q().a, 10);
+  EXPECT_TRUE(g.q().flag);
 }
 
-TEST(RegArray, ChargesCountTimesBits) {
+TEST(RegGroup, UnwrittenFieldsHold) {
   Simulator sim;
-  RegArray<std::uint32_t> w(sim, "arr", 25, 0u, 32);
-  EXPECT_EQ(sim.ledger().total(ResKind::RegisterBits, "arr"), 800u);
+  RegGroup<GroupState> g(sim, GroupState{1, 2, true}, {});
+  g.d().b = 5;
+  g.settle();
+  EXPECT_EQ(g.q().a, 1);
+  EXPECT_EQ(g.q().b, 5);
+  EXPECT_TRUE(g.q().flag);
+  // A settle with no write republishes the held values.
+  g.settle();
+  EXPECT_EQ(g.q().a, 1);
+  EXPECT_EQ(g.q().b, 5);
+  EXPECT_TRUE(g.q().flag);
+  // The last write before a settle wins.
+  g.d().a = 7;
+  g.d().a = 8;
+  g.settle();
+  EXPECT_EQ(g.q().a, 8);
+}
+
+TEST(RegGroup, ChargesEachFieldItsOwnPath) {
+  Simulator sim;
+  RegGroup<GroupState> g(sim, GroupState{},
+                         {{"top/ctrl/a", 7}, {"top/ctrl/b", 12},
+                          {"top/ctrl/flag", 1}});
+  EXPECT_EQ(sim.ledger().total(ResKind::RegisterBits, "top/ctrl/a"), 7u);
+  EXPECT_EQ(sim.ledger().total(ResKind::RegisterBits, "top/ctrl/b"), 12u);
+  EXPECT_EQ(sim.ledger().total(ResKind::RegisterBits, "top/ctrl/flag"), 1u);
+  EXPECT_EQ(sim.ledger().total(ResKind::RegisterBits, "top"), 20u);
+}
+
+TEST(RegGroup, AddsNoStateElement) {
+  Simulator sim;
+  RegGroup<GroupState> g(sim, GroupState{}, {{"g/a", 32}});
+  EXPECT_EQ(sim.clocked_count(), 0u);
 }
 
 TEST(Fifo, PushVisibleNextCycle) {

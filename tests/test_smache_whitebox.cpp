@@ -1,12 +1,18 @@
-// White-box tests of SmacheTop internals: FSM-1 warm-up contents, FSM-3
-// write-through capture, double-buffer swap timing and region ping-pong.
+// White-box tests of the tops' internals: SmacheTop's FSM-1 warm-up
+// contents, FSM-3 write-through capture, double-buffer swap timing and
+// region ping-pong; both tops' DRAM-size rejection and state-element
+// population.
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "core/engine.hpp"
 #include "mem/dram.hpp"
 #include "model/planner.hpp"
+#include "rtl/baseline_top.hpp"
 #include "rtl/smache_top.hpp"
 #include "sim/simulator.hpp"
+#include "sweep/workloads.hpp"
 
 namespace smache {
 namespace {
@@ -70,15 +76,73 @@ TEST(SmacheWhitebox, OutputRegionAlternatesWithParity) {
 }
 
 TEST(SmacheWhitebox, RejectsUndersizedDram) {
+  // Both tops ping-pong between two grid regions and say so on rejection.
+  const auto expect_rejected = [](const auto& build, const char* top) {
+    try {
+      build();
+      ADD_FAILURE() << top << " accepted a DRAM smaller than two regions";
+    } catch (const contract_error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "DRAM must hold two grid regions (ping-pong)"),
+                std::string::npos)
+          << top << ": " << e.what();
+    }
+  };
   sim::Simulator sim;
   mem::DramModel dram(sim, "dram", 100,  // < 2 * 64
                       mem::DramConfig::functional());
   const auto plan = model::Planner().plan(
       8, 8, grid::StencilShape::von_neumann4(),
       grid::BoundarySpec::paper_example());
-  EXPECT_THROW(rtl::SmacheTop(sim, "smache", plan,
-                              rtl::KernelSpec::average_int(), dram, 1),
-               contract_error);
+  expect_rejected(
+      [&] {
+        rtl::SmacheTop(sim, "smache", plan, rtl::KernelSpec::average_int(),
+                       dram, 1);
+      },
+      "SmacheTop");
+  expect_rejected(
+      [&] {
+        rtl::BaselineTop(sim, "baseline", 8, 8,
+                         grid::StencilShape::von_neumann4(),
+                         grid::BoundarySpec::paper_example(),
+                         rtl::KernelSpec::average_int(), dram, 1);
+      },
+      "BaselineTop");
+}
+
+/// State elements one top adds to the simulator (its DRAM's channels
+/// excluded): `depth` 0 builds BaselineTop, >= 1 SmacheTop at that depth.
+std::size_t top_state_elements(const char* stencil, const char* boundary,
+                               const char* kernel, std::size_t n,
+                               std::size_t depth) {
+  sim::Simulator sim;
+  const rtl::KernelSpec spec = sweep::make_kernel(kernel);
+  const grid::StencilShape shape = sweep::make_stencil(stencil);
+  const grid::BoundarySpec bc = sweep::make_boundary(boundary);
+  mem::DramModel dram(sim, "dram", 2 * n * n * spec.fields(),
+                      mem::DramConfig::functional());
+  const std::size_t before = sim.clocked_count();
+  if (depth == 0) {
+    const rtl::BaselineTop top(sim, "baseline", n, n, shape, bc, spec, dram,
+                               2);
+    return sim.clocked_count() - before;
+  }
+  const rtl::SmacheTop top(sim, "smache",
+                           model::Planner().plan(n, n, shape, bc), spec,
+                           dram, 2, depth);
+  return sim.clocked_count() - before;
+}
+
+TEST(SmacheWhitebox, OnlyStateOtherModulesReadIsAStateElement) {
+  // Controller and cell-port staging groups, the kernel stages and the
+  // baseline's tuple registers are settled by their owners; what remains
+  // is the FSM register, the stream windows, the kernels' channels, the
+  // fused chain's inter-stage channel and the static banks' ports.
+  EXPECT_EQ(top_state_elements("vn4", "paper", "average", 11, 1), 10u);
+  EXPECT_EQ(top_state_elements("star5", "open", "fdtd", 12, 1), 4u);
+  EXPECT_EQ(top_state_elements("star5", "open", "average", 12, 2), 8u);
+  EXPECT_EQ(top_state_elements("star5", "open", "average", 12, 0), 1u);
+  EXPECT_EQ(top_state_elements("star5", "open", "fdtd", 12, 0), 1u);
 }
 
 TEST(SmacheWhitebox, ResourceHierarchyHasExpectedGroups) {
