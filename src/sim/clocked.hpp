@@ -2,28 +2,39 @@
 //
 // The substrate mimics an HDL simulator with exclusively non-blocking
 // assignment: during a cycle every Module::eval reads only *committed* state
-// and schedules next-state writes; after all modules evaluated, every Clocked
-// element with a pending write commits atomically. Consequences:
+// and schedules next-state writes; at the clock edge every write lands at
+// once. Consequences:
 //   * module evaluation order never affects results (like well-formed RTL);
 //   * a value written at cycle t is visible at cycle t+1, exactly one
 //     flip-flop stage.
 //
-// Which state is two-phase. Only state that ANOTHER module can read needs
-// the commit phase: FIFO channels, BRAM ports, the stream window and FSM
-// registers (Reg). Their readers evaluate in the same cycle as the writer,
-// in an order that must not matter, so a write may land only at the clock
-// edge. State that only its owner reads — the tops' controller and cell-port
+// Which state is two-phase. Only state that ANOTHER module can read needs a
+// rule for when a write lands: FIFO channels, BRAM ports, the stream window
+// and FSM registers (Reg). Their readers evaluate in the same cycle as the
+// writer, in an order that must not matter, so a write may become visible
+// only at the clock edge. Two mechanisms give that:
+//   * FIFO channels publish by cycle stamp: a push or pop changes the ring
+//     at once and records its cycle, and every reader discounts the
+//     current cycle's push and pop (sim/fifo.hpp). A Fifo needs no commit,
+//     is not a Clocked element, and the wakes it causes fire at the end of
+//     the cycle (Module below).
+//   * Reg/FsmState, BramBank ports and the stream window are Clocked
+//     elements: a write is staged during eval and applied by the commit
+//     phase.
+// State that only its owner reads — the tops' controller and cell-port
 // staging registers (RegGroup), the kernel's stage registers, the
 // baseline's tuple registers — is committed by the owner itself at the end
-// of its own eval(), and is not a Clocked element. That is exact: no other
-// eval can see such state in the middle of a cycle, the owner reads its
-// committed value only before it settles, and between cycles (done(),
-// min_cycles_to_done()) the value is the committed one either way. Owners
-// write such state only on evals that did work, so they stay awake for the
-// next cycle. Keep it that way: the idle/fast-forward split
-// (sched/cycles/{idle,fastforward}) is pinned to the schedule a two-phase
-// register gives, and a write on an eval that also sleeps would not hold
-// the next all-asleep cycle as a commit cycle.
+// of its own eval(), and is neither. That is exact: no other eval can see
+// such state in the middle of a cycle, the owner reads its committed value
+// only before it settles, and between cycles (done(), min_cycles_to_done())
+// the value is the committed one either way. Owners write such state only
+// on evals that did work, so they stay awake for the next cycle. Keep it
+// that way: the idle/fast-forward split (sched/cycles/{idle,fastforward})
+// is pinned to the schedule a two-phase register gives, and a write on an
+// eval that also sleeps would not hold the next all-asleep cycle as a
+// commit cycle. For the same reason a push or pop holds off the
+// fast-forward for its own cycle and the next, as a channel on the commit
+// set would (Simulator::step_burst).
 //
 // Commit scheduling is activity-based: scheduling a write enqueues the
 // element on the owning Simulator's RETAINED commit set (via mark_dirty()),
@@ -40,8 +51,9 @@
 //
 // Eval scheduling is activity-gated the same way (see Module below): a
 // module that declares quiescence is removed from the Simulator's active
-// list and its eval() is not called again until a wake event — a FIFO
-// commit it subscribed to, a wake-at-cycle timer, or an explicit wake().
+// list and its eval() is not called again until a wake event — a push or
+// pop on a FIFO it subscribed to, a wake-at-cycle timer, or an explicit
+// wake().
 #pragma once
 
 #include <cstddef>
@@ -82,26 +94,10 @@ class Clocked {
   // -- Inline-commit fast paths ---------------------------------------
   // The commit loop's virtual dispatch is megamorphic (many element types
   // alternate every cycle), so each call risks an indirect-branch miss.
-  // The three commit shapes that dominate dirty lists — plain register
-  // copy, FIFO pointer update, BRAM port apply — are described by small
-  // POD records the loop can execute inline through a predictable switch.
-  // commit() must stay equivalent for users that invoke it directly.
-
-  /// Commit record of a FIFO: pop advances head, push publishes the value
-  /// already staged in its ring slot. All fields point into the element.
-  /// `consumer`/`producer` are the commit-time wake targets of the channel
-  /// (see Fifo::set_consumer/set_producer): a committed push wakes the
-  /// consumer exactly when the data becomes poppable, a committed pop wakes
-  /// the producer exactly when the space becomes pushable.
-  struct FifoCommitCtl {
-    std::size_t* head;
-    std::size_t* size;
-    std::size_t capacity;
-    bool* push_pending;
-    bool* pop_pending;
-    Module* consumer = nullptr;
-    Module* producer = nullptr;
-  };
+  // The two commit shapes that dominate dirty lists — plain register
+  // copy and BRAM port apply — are described by small POD records the loop
+  // can execute inline through a predictable switch. commit() must stay
+  // equivalent for users that invoke it directly.
 
   /// Commit record of a 1R1W synchronous RAM: latch read data (before the
   /// write lands — read-before-write), then apply the write.
@@ -124,10 +120,6 @@ class Clocked {
     fast_b_ = src;
     fast_bytes_ = bytes;
   }
-  void set_fifo_commit(FifoCommitCtl* ctl) noexcept {
-    fast_kind_ = FastCommit::Fifo;
-    fast_a_ = ctl;
-  }
   void set_bram_commit(BramCommitCtl* ctl) noexcept {
     fast_kind_ = FastCommit::Bram;
     fast_a_ = ctl;
@@ -135,7 +127,7 @@ class Clocked {
 
  private:
   friend class Simulator;
-  enum class FastCommit : std::uint8_t { None, Copy, Fifo, Bram };
+  enum class FastCommit : std::uint8_t { None, Copy, Bram };
 
   Simulator* sim_ = nullptr;  // set by Simulator::register_clocked
   bool queued_ = false;       // on the simulator's retained commit set
@@ -156,10 +148,15 @@ class Clocked {
 /// trace rows) until some event — may call sleep() / sleep_for() from inside
 /// its eval(). The simulator then skips the module entirely until a wake:
 ///   * a FIFO the module registered on (Fifo::set_consumer/set_producer)
-///     commits a push/pop — fired at COMMIT time, i.e. exactly the cycle
-///     boundary where the data/space becomes visible to the module;
+///     is pushed/popped — the wake fires at the END of that cycle, i.e.
+///     exactly the cycle boundary where the data/space becomes visible to
+///     the module. A module asleep at the push/pop is queued on the
+///     simulator's pending-wake list; an awake one is stamped with the
+///     cycle, and a sleep()/sleep_for() it calls later in the same cycle
+///     queues it then. Either eval order gives the same wake;
 ///   * the wake-at-cycle timer from sleep_for(n) expires (the module evals
-///     again exactly n cycles after the eval that called sleep_for);
+///     again exactly n cycles after the eval that called sleep_for, unless
+///     a channel event wakes it earlier);
 ///   * any code calls wake() explicitly.
 /// Sleeping is always a pure optimisation, never a semantic: the quiescence
 /// claim is the module's contract, and Simulator::set_force_eval_all(true)
@@ -203,6 +200,11 @@ class Module {
   std::uint64_t wake_at_ = kNoWake;
   bool asleep_ = false;
   bool timed_queued_ = false;  // on the simulator's timed-sleeper list
+  bool wake_queued_ = false;   // on the simulator's pending-wake list
+  Module* next_wake_ = nullptr;  // pending-wake list link
+  // Cycle of the latest channel event that found this module awake: a
+  // sleep in that same cycle must still be woken at its end.
+  std::uint64_t notified_at_ = kNoWake;
 
   // -- observability (see Simulator::enable_profiling/enable_spans; all
   // fields are scheduler-maintained and cost nothing when disabled) --

@@ -1,12 +1,24 @@
-// Clocked FIFO channel — the only way modules communicate in this substrate.
+// FIFO channel — the only way modules communicate in this substrate.
 //
 // Semantics (all hardware-like):
 //   * at most one push and one pop per cycle (one write port, one read port);
 //   * a value pushed at cycle t becomes poppable at cycle t+1;
-//   * can_push() is based on committed occupancy plus this cycle's pending
-//     push, NOT on this cycle's pop — like a FIFO whose `full` flag is
+//   * can_push() is based on committed occupancy plus this cycle's push,
+//     NOT on this cycle's pop — like a FIFO whose `full` flag is
 //     registered. This makes producer/consumer evaluation order irrelevant;
 //   * capacity must be >= 1.
+//
+// Publication by cycle stamp — the one rule for when a channel write
+// lands. A push or pop changes the ring at once and records the cycle it
+// happened on. Every reader (size, empty, can_push, can_pop, front) sees
+// the committed, start-of-cycle view: it discounts this cycle's push and
+// pop, and the stamps stop matching once the cycle ends. So a FIFO needs
+// no commit and is not a Clocked element. A push never writes the slot a
+// same-cycle pop frees (a pop frees no space this cycle), so a front()
+// reference taken before drop() reads the same element for the rest of
+// the cycle. A push wakes the registered consumer and a pop the registered
+// producer at the end of the cycle, whether the module slept before the
+// push/pop or sleeps after it (Simulator::note_channel_move).
 //
 // Storage is a fixed-capacity inline ring buffer (sim::RingBuffer): the
 // depth is known at construction, exactly like the synthesised FIFO, so
@@ -33,16 +45,12 @@
 namespace smache::sim {
 
 template <typename T>
-class Fifo : public Clocked {
+class Fifo {
  public:
   Fifo(Simulator& sim, std::string_view path, std::size_t capacity,
        std::uint32_t bits_each = default_bits<T>())
-      : items_(capacity),
-        commit_ctl_{items_.head_ptr(), items_.size_ptr(), capacity,
-                    &push_pending_, &pop_pending_, nullptr, nullptr} {
+      : items_(capacity), sim_(&sim) {
     SMACHE_REQUIRE(capacity >= 1);
-    sim.register_clocked(this);
-    set_fifo_commit(&commit_ctl_);
     const std::uint64_t ptr_bits = 2ull * (addr_bits(capacity) + 1);
     sim.ledger().add(path, ResKind::RegisterBits,
                      static_cast<std::uint64_t>(capacity) * bits_each +
@@ -51,92 +59,99 @@ class Fifo : public Clocked {
     hwm_slot_ = mreg_->slot(path, "/hwm", obs::MetricKind::MaxWatermark);
   }
 
-  /// Register the module that consumes this channel: a committed push
-  /// wakes it on exactly the cycle boundary where the data becomes
-  /// poppable. Commit-time (not schedule-time) firing is what makes the
-  /// sleep protocol race-free: a consumer that checks can_pop(), sees
-  /// nothing, and sleeps in the same cycle a producer pushes is still
-  /// woken — by the commit that publishes the value.
-  void set_consumer(Module* m) noexcept { commit_ctl_.consumer = m; }
-  /// Register the module that produces into this channel: a committed pop
-  /// wakes it when the freed slot becomes pushable (back-pressure relief).
-  void set_producer(Module* m) noexcept { commit_ctl_.producer = m; }
+  // Non-copyable: the wake targets belong to this one channel.
+  Fifo(const Fifo&) = delete;
+  Fifo& operator=(const Fifo&) = delete;
+
+  /// Register the module that consumes this channel: a push wakes it at
+  /// the end of the cycle, when the data becomes poppable — also if it
+  /// checks can_pop(), sees nothing, and sleeps in the cycle of the push.
+  void set_consumer(Module* m) noexcept { consumer_ = m; }
+  /// Register the module that produces into this channel: a pop wakes it
+  /// at the end of the cycle, when the freed slot becomes pushable.
+  void set_producer(Module* m) noexcept { producer_ = m; }
 
   std::size_t capacity() const noexcept { return items_.capacity(); }
   /// Committed occupancy (start-of-cycle view).
-  std::size_t size() const noexcept { return items_.size(); }
-  bool empty() const noexcept { return items_.empty(); }
+  std::size_t size() const noexcept {
+    const std::uint64_t now = sim_->now();
+    return items_.size() - (push_at_ == now) + (pop_at_ == now);
+  }
+  bool empty() const noexcept { return size() == 0; }
 
   /// True iff a push this cycle is accepted. Ignores this cycle's pop by
   /// design (registered-full semantics).
-  bool can_push() const noexcept { return !push_pending_ && !items_.full(); }
+  bool can_push() const noexcept {
+    const std::uint64_t now = sim_->now();
+    return push_at_ != now &&
+           items_.size() + (pop_at_ == now) < items_.capacity();
+  }
 
-  /// Schedule a push; the value is visible to the consumer next cycle.
-  /// The value is staged directly in its final ring slot (readers only see
-  /// committed occupancy, and the slot index survives a same-cycle pop), so
-  /// commit() publishes it without a second copy.
+  /// Push; the value is visible to the consumer next cycle.
   void push(const T& v) { push_slot() = v; }
 
-  /// Zero-copy variant of push() for wide messages: schedules the push and
-  /// returns the staging slot for the producer to fill in place before the
-  /// end of its eval. The slot holds stale bytes from an earlier occupant —
-  /// the producer owns writing every field the consumer will read.
+  /// Zero-copy variant of push() for wide messages: pushes and returns the
+  /// element's ring slot for the producer to fill in place before the end
+  /// of its eval (no reader can see the slot until the next cycle). The
+  /// slot holds stale bytes from an earlier occupant — the producer owns
+  /// writing every field the consumer will read.
   T& push_slot() {
     SMACHE_REQUIRE_MSG(can_push(), "fifo overflow or double push in a cycle");
-    push_pending_ = true;
-    mark_dirty();
-    // Occupancy high-water mark (<path>/hwm): committed size plus the push
-    // being scheduled. The occupancy math stays behind the enabled check
-    // so the disabled path is one branch, not a computation.
+    // Occupancy high-water mark (<path>/hwm): committed size plus this
+    // push. The occupancy math stays behind the enabled check so the
+    // disabled path is one branch, not a computation.
     if (mreg_->enabled())
-      mreg_->watermark(hwm_slot_,
-                       static_cast<std::uint64_t>(items_.size()) + 1);
-    return items_.staging_back();
+      mreg_->watermark(hwm_slot_, static_cast<std::uint64_t>(size()) + 1);
+    push_at_ = sim_->now();
+    sim_->note_channel_move(consumer_);
+    return items_.append();
   }
 
   /// True iff a pop this cycle would return data.
-  bool can_pop() const noexcept { return !pop_pending_ && !items_.empty(); }
+  bool can_pop() const noexcept {
+    const std::uint64_t now = sim_->now();
+    return pop_at_ != now && items_.size() > (push_at_ == now ? 1u : 0u);
+  }
 
-  /// Committed front element; valid only when can_pop().
-  const T& front() const { return items_.front(); }
-
-  /// Schedule a pop of the front element and return it.
-  T pop() {
-    SMACHE_REQUIRE_MSG(can_pop(), "fifo underflow or double pop in a cycle");
-    pop_pending_ = true;
-    mark_dirty();
+  /// Committed front element; valid only when can_pop() (throws
+  /// otherwise). The reference stays valid for the rest of the cycle, a
+  /// drop() and a push included.
+  const T& front() const {
+    SMACHE_REQUIRE_MSG(can_pop(), "fifo front() without a poppable element");
     return items_.front();
   }
 
-  /// Zero-copy variant of pop() for wide messages: schedules the pop
-  /// without returning the element. Pair with front(), whose reference
-  /// stays valid until the commit phase.
-  void drop() {
+  /// Pop the front element and return it.
+  T pop() {
     SMACHE_REQUIRE_MSG(can_pop(), "fifo underflow or double pop in a cycle");
-    pop_pending_ = true;
-    mark_dirty();
+    T v = items_.front();
+    pop_front();
+    return v;
   }
 
-  void commit() override {
-    // Kept equivalent to the Simulator's inline FIFO fast path, including
-    // the commit-time wake notifications.
-    if (pop_pending_) {
-      items_.pop_front();
-      pop_pending_ = false;
-      if (commit_ctl_.producer != nullptr) commit_ctl_.producer->wake();
-    }
-    if (push_pending_) {
-      items_.commit_back();
-      push_pending_ = false;
-      if (commit_ctl_.consumer != nullptr) commit_ctl_.consumer->wake();
-    }
+  /// Zero-copy variant of pop() for wide messages: pops without returning
+  /// the element. Pair with front(), whose reference stays valid for the
+  /// rest of the cycle.
+  void drop() {
+    SMACHE_REQUIRE_MSG(can_pop(), "fifo underflow or double pop in a cycle");
+    pop_front();
   }
 
  private:
+  void pop_front() {
+    items_.pop_front();
+    pop_at_ = sim_->now();
+    sim_->note_channel_move(producer_);
+  }
+
+  static constexpr std::uint64_t kNever = ~std::uint64_t{0};
+
   RingBuffer<T> items_;
-  bool push_pending_ = false;
-  bool pop_pending_ = false;
-  FifoCommitCtl commit_ctl_;
+  Simulator* sim_;
+  std::uint64_t push_at_ = kNever;  // cycle of the latest push
+  std::uint64_t pop_at_ = kNever;   // cycle of the latest pop
+  Module* consumer_ = nullptr;
+  Module* producer_ = nullptr;
   obs::MetricsRegistry* mreg_ = nullptr;  // owned by the Simulator
   obs::MetricsRegistry::Slot hwm_slot_ = 0;
 };

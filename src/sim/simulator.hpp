@@ -1,16 +1,20 @@
 // The cycle scheduler. See clocked.hpp for the two-phase semantics.
 //
-// Both phases are activity-gated:
+// A cycle is: fire due timer wakes, eval the awake modules, commit the
+// written state elements, then wake the modules that channel events queued
+// (the end-of-cycle wake). Both phases are activity-gated:
 //   * eval — modules that declared quiescence (Module::sleep/sleep_for) are
 //     dropped from the active list and not called at all; they return on a
-//     wake event (FIFO commit, timer expiry, explicit wake()). When NOTHING
-//     is active and nothing is pending commit, whole idle stretches are
+//     wake event (a channel push/pop, timer expiry, explicit wake()). When
+//     NOTHING is active, nothing is pending commit or wake and no channel
+//     moved in the previous cycle or since, whole idle stretches are
 //     fast-forwarded in O(1) (cycle numbering is unchanged — the skipped
 //     cycles provably had no state change).
 //   * commit — state elements that scheduled a write sit on a retained
 //     commit set; elements that keep writing pay one flag store per cycle
 //     (no queue churn), elements that go quiet are dropped by the next
-//     sweep.
+//     sweep. FIFO channels are not on it: they publish by cycle stamp
+//     (sim/fifo.hpp).
 // Gating is an optimisation bound by a correctness contract (a sleeping
 // module's eval must be observable-state-neutral); set_force_eval_all(true)
 // runs every module every cycle so tests can cross-check the two modes.
@@ -65,8 +69,9 @@ class Simulator {
                        "state element already registered with another "
                        "simulator");
     c->sim_ = this;
-    // One reservation covers a typical design (a top and its DRAM), so
-    // elaboration does not regrow the list at every doubling.
+    // One reservation covers a typical design (a top's FSM register,
+    // stream windows and static-bank ports), so elaboration does not
+    // regrow the list at every doubling.
     if (clocked_.empty()) clocked_.reserve(kTypicalElements);
     clocked_.push_back(c);
     // The commit set can never exceed the registered population; sizing it
@@ -156,8 +161,9 @@ class Simulator {
     put("sched/cycles/eval", prof_eval_cycles_);
     put("sched/cycles/idle", prof_idle_cycles_);
     put("sched/cycles/fastforward", prof_ff_cycles_);
-    // wake() transitions split into channel (FIFO commit) and explicit;
-    // timer wakes bypass wake() and are counted at the firing site.
+    // wake() transitions split into channel (the end-of-cycle wakes FIFO
+    // pushes and pops queue) and explicit; timer wakes bypass wake() and
+    // are counted at the firing site.
     put("sched/wakes/channel", wakes_channel_);
     put("sched/wakes/timer", wakes_timer_);
     put("sched/wakes/explicit", wake_transitions_ - wakes_channel_);
@@ -177,29 +183,26 @@ class Simulator {
     }
   }
 
-  /// Advance exactly one cycle: eval phase (awake modules only) then commit
-  /// phase (elements with writes scheduled this cycle only). A dedicated
-  /// body (no burst bookkeeping, no idle fast-forward — a single idle cycle
-  /// IS the fast-forward) keeps the testbench-driven single-step loops of
-  /// the primitive benches lean.
+  /// Advance exactly one cycle: eval phase (awake modules only), commit
+  /// phase (elements with writes scheduled this cycle only), end-of-cycle
+  /// wakes. A dedicated body (no burst bookkeeping, no idle fast-forward —
+  /// a single idle cycle IS the fast-forward) keeps the testbench-driven
+  /// single-step loops of the primitive benches lean.
   void step() {
     if (modules_.empty()) {
       // Testbench-driven fast path: with no modules registered there can be
       // no timers to fire and no active list to maintain — the cycle is
       // exactly the commit of whatever the testbench scheduled directly on
-      // FIFOs/BRAMs/registers. The primitive microbenches live here.
-      if (!commit_set_.empty()) commit_retained();
-      if (prof_) ++prof_idle_cycles_;
-      ++cycle_;
+      // BRAMs/registers (FIFOs need none). The primitive microbenches live
+      // here.
+      end_idle_cycle();
       return;
     }
     if (next_timer_wake_ <= cycle_ || active_stale_) refresh_schedule();
     if (active_.empty()) {
       // Every module is asleep (and no timer is due): evals are provably
-      // state-neutral, so only the scheduled commits can do work.
-      if (!commit_set_.empty()) commit_retained();
-      if (prof_) ++prof_idle_cycles_;
-      ++cycle_;
+      // state-neutral, so only the scheduled commits and wakes can do work.
+      end_idle_cycle();
       return;
     }
     Module* const* mods = active_.data();
@@ -209,8 +212,7 @@ class Simulator {
       ++prof_eval_cycles_;
       for (std::size_t i = 0; i < m; ++i) ++mods[i]->obs_awake_cycles_;
     }
-    commit_retained();
-    ++cycle_;
+    end_cycle();
   }
 
   /// Step until `done()` returns true (checked after each cycle) or
@@ -263,14 +265,20 @@ class Simulator {
  private:
   /// Advance `n` cycles. Per cycle: fire due timer wakes, refresh the
   /// active list if membership changed, eval the awake modules, commit the
-  /// written state elements. When no module is awake and nothing is pending
-  /// commit, the remaining idle cycles up to the next timer wake (or burst
-  /// end) are skipped in one jump — provably nothing can change during
-  /// them, so this is pure wall-clock savings with identical cycle numbers.
+  /// written state elements, wake the queued modules. When no module is
+  /// awake, nothing is pending commit or wake and no channel moved in the
+  /// previous cycle or since, the remaining idle cycles up to the next
+  /// timer wake (or burst end) are skipped in one jump — provably nothing
+  /// can change during them, so this is pure wall-clock savings with
+  /// identical cycle numbers. The channel condition matters only for FIFOs
+  /// without a registered producer or consumer (a notified module is
+  /// awake on the next cycle anyway); it keeps the idle/fast-forward split
+  /// a channel on the commit set would give.
   void step_burst(std::uint64_t n) {
     for (std::uint64_t k = 0; k < n; ++k) {
       if (next_timer_wake_ <= cycle_ || active_stale_) refresh_schedule();
-      if (active_.empty() && commit_set_.empty()) {
+      if (active_.empty() && commit_set_.empty() && wake_queue_ == nullptr &&
+          cycle_ >= channels_quiet_from_) {
         std::uint64_t idle = n - k;
         if (next_timer_wake_ != Module::kNoWake)
           idle = std::min(idle, next_timer_wake_ - cycle_);
@@ -284,21 +292,35 @@ class Simulator {
       for (std::size_t i = 0; i < m; ++i) mods[i]->eval();
       if (prof_) {
         if (m == 0) {
-          ++prof_idle_cycles_;  // commit-only cycle, no module awake
+          ++prof_idle_cycles_;  // commit/wake-only cycle, no module awake
         } else {
           ++prof_eval_cycles_;
           for (std::size_t i = 0; i < m; ++i) ++mods[i]->obs_awake_cycles_;
         }
       }
-      commit_retained();
-      ++cycle_;
+      end_cycle();
     }
   }
 
+  /// The clock edge: commit the written state elements, then wake the
+  /// modules channel events queued this cycle.
+  void end_cycle() {
+    commit_retained();
+    if (wake_queue_ != nullptr) flush_wakes();
+    ++cycle_;
+  }
+
+  /// The clock edge of a cycle no module evaluated in.
+  void end_idle_cycle() {
+    if (!commit_set_.empty()) commit_retained();
+    if (wake_queue_ != nullptr) flush_wakes();
+    if (prof_) ++prof_idle_cycles_;
+    ++cycle_;
+  }
+
   void commit_retained() {
-    // commit() must not schedule new writes, so the set cannot grow here
-    // (waking modules during a FIFO commit only flips scheduling flags).
-    // The switch executes the three dominant commit shapes inline (see
+    // commit() must not schedule new writes, so the set cannot grow here.
+    // The switch executes the two dominant commit shapes inline (see
     // clocked.hpp) — only irregular elements pay a virtual dispatch.
     // Elements that stopped writing are compacted out in the same sweep.
     Clocked** set = commit_set_.data();
@@ -334,27 +356,6 @@ class Simulator {
               break;
           }
           break;
-        case Clocked::FastCommit::Fifo: {
-          auto* f = static_cast<Clocked::FifoCommitCtl*>(c->fast_a_);
-          if (*f->pop_pending) {
-            *f->head = *f->head + 1 == f->capacity ? 0 : *f->head + 1;
-            --*f->size;
-            *f->pop_pending = false;
-            if (f->producer != nullptr) {
-              if (prof_ && f->producer->asleep_) ++wakes_channel_;
-              f->producer->wake();
-            }
-          }
-          if (*f->push_pending) {
-            ++*f->size;
-            *f->push_pending = false;
-            if (f->consumer != nullptr) {
-              if (prof_ && f->consumer->asleep_) ++wakes_channel_;
-              f->consumer->wake();
-            }
-          }
-          break;
-        }
         case Clocked::FastCommit::Bram: {
           auto* b = static_cast<Clocked::BramCommitCtl*>(c->fast_a_);
           if (b->read_pending) {
@@ -373,6 +374,28 @@ class Simulator {
       }
     }
     if (keep != n) commit_set_.resize(keep);
+  }
+
+  /// Wake every module a channel event queued this cycle, counting a
+  /// channel wake only for modules still asleep.
+  void flush_wakes() noexcept {
+    while (wake_queue_ != nullptr) {
+      Module* m = wake_queue_;
+      wake_queue_ = m->next_wake_;
+      m->wake_queued_ = false;
+      if (m->asleep_) {
+        if (prof_) ++wakes_channel_;
+        m->wake();
+      }
+    }
+  }
+
+  /// Put `m` on the pending-wake list, at most once per cycle.
+  void queue_wake(Module* m) noexcept {
+    if (m->wake_queued_) return;
+    m->wake_queued_ = true;
+    m->next_wake_ = wake_queue_;
+    wake_queue_ = m;
   }
 
   /// Cold path of the per-cycle prologue: fire due timer wakes, then
@@ -440,6 +463,20 @@ class Simulator {
 
   friend class Clocked;  // mark_dirty() appends to commit_set_
   friend class Module;   // sleep/sleep_for/wake flip scheduling state
+  template <typename T>
+  friend class Fifo;     // pushes and pops call note_channel_move()
+
+  /// A FIFO was pushed or popped, notifying `m` (its consumer or producer,
+  /// or null): queue it for the end-of-cycle wake if asleep, else stamp it
+  /// so that a sleep later in this cycle queues it (Module::sleep).
+  void note_channel_move(Module* m) noexcept {
+    channels_quiet_from_ = cycle_ + 2;
+    if (m == nullptr) return;
+    if (m->asleep_)
+      queue_wake(m);
+    else
+      m->notified_at_ = cycle_;
+  }
 
   std::uint64_t cycle_ = 0;
   std::vector<Module*> modules_;   // all registered, registration order
@@ -450,6 +487,10 @@ class Simulator {
   bool force_eval_all_ = false;
   std::vector<Clocked*> clocked_;
   std::vector<Clocked*> commit_set_;  // retained across cycles
+  Module* wake_queue_ = nullptr;  // pending end-of-cycle wakes (linked list)
+  // First cycle the idle fast-forward may skip as far as channels go: two
+  // past the latest push or pop (see step_burst).
+  std::uint64_t channels_quiet_from_ = 0;
   ResourceLedger ledger_;
 
   // -- observability (enable_profiling / enable_spans) --
@@ -461,7 +502,7 @@ class Simulator {
   std::uint64_t prof_eval_cycles_ = 0; // >=1 module evaluated
   std::uint64_t prof_idle_cycles_ = 0; // stepped, no module awake
   std::uint64_t prof_ff_cycles_ = 0;   // skipped by the idle fast-forward
-  std::uint64_t wakes_channel_ = 0;    // FIFO-commit wakes (asleep targets)
+  std::uint64_t wakes_channel_ = 0;    // channel wakes (asleep targets)
   std::uint64_t wakes_timer_ = 0;      // sleep_for deadline firings
   std::uint64_t wake_transitions_ = 0; // all wake() asleep->awake flips
 };
@@ -493,6 +534,7 @@ inline void Module::sleep() noexcept {
   asleep_ = true;
   wake_at_ = kNoWake;
   sched_->active_stale_ = true;
+  if (notified_at_ == sched_->cycle_) sched_->queue_wake(this);
 }
 
 inline void Module::sleep_for(std::uint64_t n) noexcept {
@@ -504,6 +546,7 @@ inline void Module::sleep_for(std::uint64_t n) noexcept {
   wake_at_ = sched_->now() + n;
   sched_->active_stale_ = true;
   sched_->note_timed_sleep(this);
+  if (notified_at_ == sched_->cycle_) sched_->queue_wake(this);
 }
 
 inline void Module::set_obs_name(std::string_view name) {

@@ -1,8 +1,9 @@
 // Activity-gated eval scheduling (PR 3 tentpole).
 //
 // Part 1 — unit tests of the scheduler machinery itself: sleep/wake via
-// FIFO commit events, wake-at-cycle timers, explicit wake(), force-eval
-// mode, and the all-asleep fast-forward.
+// FIFO push/pop events (the end-of-cycle wake, in either eval order),
+// wake-at-cycle timers, explicit wake(), force-eval mode, and the
+// all-asleep fast-forward.
 //
 // Part 2 — the equivalence property: for randomized problem configurations
 // with DRAM stall injection and tight (back-pressuring) channel depths,
@@ -13,7 +14,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -162,6 +166,310 @@ TEST(Scheduler, ForceEvalAllWakesCurrentSleepers) {
   EXPECT_FALSE(consumer.asleep());
   sim.step();
   EXPECT_EQ(consumer.evals, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Channel wakes do not depend on eval order. A push or pop wakes the other
+// end of the channel at the end of the cycle, whether that module went to
+// sleep before the push/pop (it is queued) or after it in the same cycle
+// (its sleep sees the cycle stamp and queues it then). Each scenario runs
+// with the two modules registered in both orders.
+// ---------------------------------------------------------------------------
+
+/// Eval order of a two-module scenario.
+enum class Order { ProducerFirst, ConsumerFirst };
+
+/// Builds the producer and the consumer in the given order (modules are
+/// evaluated in registration order).
+template <typename P, typename C, typename MakeP, typename MakeC>
+std::pair<std::unique_ptr<P>, std::unique_ptr<C>> register_in_order(
+    Order order, MakeP make_producer, MakeC make_consumer) {
+  std::unique_ptr<P> p;
+  std::unique_ptr<C> c;
+  if (order == Order::ProducerFirst) {
+    p = make_producer();
+    c = make_consumer();
+  } else {
+    c = make_consumer();
+    p = make_producer();
+  }
+  return {std::move(p), std::move(c)};
+}
+
+/// Steps the simulator to cycle `target` through the burst loop (the
+/// engine's path, idle fast-forward included).
+void run_to(sim::Simulator& sim, std::uint64_t target) {
+  sim.run_until_done([&] { return sim.now() >= target; },
+                     [&] { return target - sim.now(); }, target - sim.now());
+}
+
+/// The scheduler's attribution counters (sched/*) after the last step.
+std::map<std::string, std::uint64_t> sched_metrics(sim::Simulator& sim) {
+  sim.finalize_observability();
+  std::map<std::string, std::uint64_t> out;
+  for (const obs::MetricSample& m : sim.metrics().snapshot())
+    if (m.path.rfind("sched/", 0) == 0) out[m.path] = m.value;
+  return out;
+}
+
+/// Producer that pushes 0, 1, 2, ... on scripted cycles (or as soon after
+/// as the channel takes it) and sleeps on a timer in between.
+class ScriptedProducer : public sim::Module {
+ public:
+  ScriptedProducer(sim::Simulator& sim, sim::Fifo<int>& out,
+                   std::vector<std::uint64_t> push_at)
+      : sim_(sim), out_(out), push_at_(std::move(push_at)) {
+    out_.set_producer(this);
+    set_obs_name("producer");
+    sim.add_module(this);
+  }
+  void eval() override {
+    const std::uint64_t now = sim_.now();
+    if (next_ < push_at_.size() && push_at_[next_] <= now &&
+        out_.can_push()) {
+      out_.push(static_cast<int>(next_));
+      push_cycles.push_back(now);
+      ++next_;
+    }
+    if (next_ == push_at_.size())
+      sleep();
+    else if (push_at_[next_] > now)
+      sleep_for(push_at_[next_] - now);
+  }
+  std::vector<std::uint64_t> push_cycles;
+
+ private:
+  sim::Simulator& sim_;
+  sim::Fifo<int>& out_;
+  std::vector<std::uint64_t> push_at_;
+  std::size_t next_ = 0;
+};
+
+/// SleepyConsumer that also records the cycle of every eval.
+class StampedConsumer : public SleepyConsumer {
+ public:
+  StampedConsumer(sim::Simulator& sim, sim::Fifo<int>& in)
+      : SleepyConsumer(sim, in), sim_(sim) {
+    set_obs_name("consumer");
+  }
+  void eval() override {
+    eval_cycles.push_back(sim_.now());
+    SleepyConsumer::eval();
+  }
+  std::vector<std::uint64_t> eval_cycles;
+
+ private:
+  sim::Simulator& sim_;
+};
+
+struct PushRun {
+  std::vector<std::uint64_t> consumer_evals;
+  std::vector<int> values;
+  std::map<std::string, std::uint64_t> sched;
+};
+
+PushRun run_scripted_pushes(Order order) {
+  sim::Simulator sim;
+  sim.enable_profiling();
+  sim::Fifo<int> chan(sim, "chan", 4);
+  // The pushes at cycles 0 and 3 find the consumer awake on an empty
+  // channel, so it sleeps in the cycle of the push; those at 7 and 20 find
+  // it already asleep.
+  auto [producer, consumer] =
+      register_in_order<ScriptedProducer, StampedConsumer>(
+          order,
+          [&] {
+            return std::make_unique<ScriptedProducer>(
+                sim, chan, std::vector<std::uint64_t>{0, 1, 3, 7, 8, 20});
+          },
+          [&] { return std::make_unique<StampedConsumer>(sim, chan); });
+  run_to(sim, 40);
+  return PushRun{consumer->eval_cycles, consumer->values, sched_metrics(sim)};
+}
+
+TEST(Scheduler, PushWakesASameCycleSleeperInEitherEvalOrder) {
+  const PushRun a = run_scripted_pushes(Order::ProducerFirst);
+  const PushRun b = run_scripted_pushes(Order::ConsumerFirst);
+  // Each push is popped on the cycle after it (one flip-flop stage): the
+  // consumer evaluates on every cycle it can pop (1, 2, 4, 8, 9, 21) and
+  // once on an empty channel before each sleep (0, 3, 5, 10, 22).
+  EXPECT_EQ(a.consumer_evals,
+            (std::vector<std::uint64_t>{0, 1, 2, 3, 4, 5, 8, 9, 10, 21, 22}));
+  EXPECT_EQ(a.values, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(b.consumer_evals, a.consumer_evals);
+  EXPECT_EQ(b.values, a.values);
+  EXPECT_EQ(b.sched, a.sched);
+  for (const char* key :
+       {"sched/wakes/channel", "sched/cycles/eval", "sched/cycles/idle",
+        "sched/cycles/fastforward", "sched/module/producer/awake",
+        "sched/module/producer/asleep", "sched/module/consumer/awake",
+        "sched/module/consumer/asleep"})
+    EXPECT_EQ(a.sched.count(key), 1u) << key;
+  EXPECT_EQ(a.sched.at("sched/module/consumer/awake"), 11u);
+  EXPECT_GT(a.sched.at("sched/wakes/channel"), 0u);
+  EXPECT_GT(a.sched.at("sched/cycles/fastforward"), 0u);
+}
+
+/// Producer that pushes 0, 1, 2, ... whenever the channel takes it and
+/// sleeps while the channel is full, relying on the pop wake.
+class GreedyProducer : public sim::Module {
+ public:
+  GreedyProducer(sim::Simulator& sim, sim::Fifo<int>& out)
+      : sim_(sim), out_(out) {
+    out_.set_producer(this);
+    set_obs_name("producer");
+    sim.add_module(this);
+  }
+  void eval() override {
+    if (!out_.can_push()) {
+      sleep();
+      return;
+    }
+    out_.push(next_++);
+    push_cycles.push_back(sim_.now());
+  }
+  std::vector<std::uint64_t> push_cycles;
+
+ private:
+  sim::Simulator& sim_;
+  sim::Fifo<int>& out_;
+  int next_ = 0;
+};
+
+/// Consumer that pops one element at or after each scripted cycle and
+/// otherwise sleeps: on a timer until the next pop is due, on the channel
+/// while a due pop finds it empty.
+class ScriptedConsumer : public sim::Module {
+ public:
+  ScriptedConsumer(sim::Simulator& sim, sim::Fifo<int>& in,
+                   std::vector<std::uint64_t> pop_at)
+      : sim_(sim), in_(in), pop_at_(std::move(pop_at)) {
+    in_.set_consumer(this);
+    set_obs_name("consumer");
+    sim.add_module(this);
+  }
+  void eval() override {
+    const std::uint64_t now = sim_.now();
+    if (next_ < pop_at_.size() && pop_at_[next_] <= now && in_.can_pop()) {
+      values.push_back(in_.pop());
+      ++next_;
+    }
+    if (next_ == pop_at_.size() || pop_at_[next_] <= now)
+      sleep();
+    else
+      sleep_for(pop_at_[next_] - now);
+  }
+  std::vector<int> values;
+
+ private:
+  sim::Simulator& sim_;
+  sim::Fifo<int>& in_;
+  std::vector<std::uint64_t> pop_at_;
+  std::size_t next_ = 0;
+};
+
+struct PopRun {
+  std::vector<std::uint64_t> push_cycles;
+  std::vector<int> values;
+  std::map<std::string, std::uint64_t> sched;
+};
+
+PopRun run_scripted_pops(Order order) {
+  sim::Simulator sim;
+  sim.enable_profiling();
+  sim::Fifo<int> chan(sim, "chan", 1);
+  auto [producer, consumer] =
+      register_in_order<GreedyProducer, ScriptedConsumer>(
+          order, [&] { return std::make_unique<GreedyProducer>(sim, chan); },
+          [&] {
+            return std::make_unique<ScriptedConsumer>(
+                sim, chan, std::vector<std::uint64_t>{1, 2, 5, 9});
+          });
+  run_to(sim, 30);
+  return PopRun{producer->push_cycles, consumer->values, sched_metrics(sim)};
+}
+
+TEST(Scheduler, PopWakesAProducerSleepingOnAFullChannelInEitherEvalOrder) {
+  const PopRun a = run_scripted_pops(Order::ProducerFirst);
+  const PopRun b = run_scripted_pops(Order::ConsumerFirst);
+  // The 1-deep channel is full from the cycle after each push; the
+  // producer sleeps on it in the very cycle the consumer's pop frees it,
+  // and pushes again on the next cycle.
+  EXPECT_EQ(a.push_cycles, (std::vector<std::uint64_t>{0, 2, 4, 6, 10}));
+  EXPECT_EQ(a.values, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(b.push_cycles, a.push_cycles);
+  EXPECT_EQ(b.values, a.values);
+  EXPECT_EQ(b.sched, a.sched);
+}
+
+/// Channel consumer that pops whatever is there and then sleeps on a
+/// 100-cycle timer.
+class PatientConsumer : public sim::Module {
+ public:
+  PatientConsumer(sim::Simulator& sim, sim::Fifo<int>& in)
+      : sim_(sim), in_(in) {
+    in_.set_consumer(this);
+    set_obs_name("consumer");
+    sim.add_module(this);
+  }
+  void eval() override {
+    eval_cycles.push_back(sim_.now());
+    if (in_.can_pop()) values.push_back(in_.pop());
+    sleep_for(100);
+  }
+  std::vector<std::uint64_t> eval_cycles;
+  std::vector<int> values;
+
+ private:
+  sim::Simulator& sim_;
+  sim::Fifo<int>& in_;
+};
+
+TEST(Scheduler, SameCycleChannelEventCutsATimedSleepShort) {
+  for (const Order order : {Order::ProducerFirst, Order::ConsumerFirst}) {
+    sim::Simulator sim;
+    sim::Fifo<int> chan(sim, "chan", 4);
+    // Pushes land in cycles where the consumer evaluates and calls
+    // sleep_for(100): it must evaluate on the next cycle, not at +100.
+    auto [producer, consumer] =
+        register_in_order<ScriptedProducer, PatientConsumer>(
+            order,
+            [&] {
+              return std::make_unique<ScriptedProducer>(
+                  sim, chan, std::vector<std::uint64_t>{0, 101});
+            },
+            [&] { return std::make_unique<PatientConsumer>(sim, chan); });
+    run_to(sim, 250);
+    const char* label =
+        order == Order::ProducerFirst ? "producer first" : "consumer first";
+    EXPECT_EQ(consumer->eval_cycles,
+              (std::vector<std::uint64_t>{0, 1, 101, 102, 202}))
+        << label;
+    EXPECT_EQ(consumer->values, (std::vector<int>{0, 1})) << label;
+  }
+}
+
+TEST(Scheduler, TestbenchChannelMoveHoldsTwoIdleCyclesBeforeFastForward) {
+  // A FIFO with no producer or consumer wakes nobody, but its push or pop
+  // keeps the cycle it happened on and the one after as stepped idle
+  // cycles before the burst loop may fast-forward again.
+  sim::Simulator sim;
+  sim.enable_profiling();
+  sim::Fifo<int> chan(sim, "chan", 2);
+  TimerSleeper mod(sim, 1000);  // evaluates at 0, then sleeps past the end
+  run_to(sim, 10);              // eval 1, fast-forward 9
+  chan.push(1);
+  run_to(sim, 20);  // idle 10, 11; fast-forward 8
+  EXPECT_EQ(chan.size(), 1u);
+  EXPECT_EQ(chan.pop(), 1);
+  run_to(sim, 30);  // idle 20, 21; fast-forward 8
+  EXPECT_TRUE(chan.empty());
+  const auto sched = sched_metrics(sim);
+  EXPECT_EQ(sched.at("sched/cycles/total"), 30u);
+  EXPECT_EQ(sched.at("sched/cycles/eval"), 1u);
+  EXPECT_EQ(sched.at("sched/cycles/idle"), 4u);
+  EXPECT_EQ(sched.at("sched/cycles/fastforward"), 25u);
+  EXPECT_EQ(sched.at("sched/wakes/channel"), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -180,6 +180,103 @@ TEST(Fifo, ConcurrentPushPopSteadyState) {
   }
 }
 
+TEST(Fifo, CommittedViewHoldsUntilTheClockEdge) {
+  // A push or pop changes the ring at once, but every reader sees the
+  // start-of-cycle occupancy until step(); only the one-push-one-pop port
+  // rule moves can_push()/can_pop() within the cycle.
+  Simulator sim;
+  Fifo<int> f(sim, "f", 2);
+  f.push(1);  // into an empty FIFO
+  EXPECT_EQ(f.size(), 0u);
+  EXPECT_TRUE(f.empty());
+  EXPECT_FALSE(f.can_pop());
+  EXPECT_FALSE(f.can_push()) << "one push per cycle";
+  sim.step();
+  EXPECT_EQ(f.size(), 1u);
+  EXPECT_TRUE(f.can_push());
+  EXPECT_TRUE(f.can_pop());
+
+  EXPECT_EQ(f.pop(), 1);  // a pop and a push in one cycle
+  f.push(2);
+  EXPECT_EQ(f.size(), 1u);
+  EXPECT_FALSE(f.empty());
+  EXPECT_FALSE(f.can_push());
+  EXPECT_FALSE(f.can_pop()) << "one pop per cycle";
+  sim.step();
+  EXPECT_EQ(f.size(), 1u);
+  EXPECT_EQ(f.front(), 2);
+
+  f.push(3);  // fills the FIFO at the edge...
+  sim.step();
+  EXPECT_EQ(f.size(), 2u);
+  EXPECT_EQ(f.pop(), 2);  // ...and a pop on a full FIFO frees no space yet
+  EXPECT_EQ(f.size(), 2u);
+  EXPECT_FALSE(f.empty());
+  EXPECT_FALSE(f.can_push()) << "registered full";
+  sim.step();
+  EXPECT_EQ(f.size(), 1u);
+  EXPECT_TRUE(f.can_push());
+  EXPECT_EQ(f.pop(), 3);
+  sim.step();
+  EXPECT_TRUE(f.empty());
+  EXPECT_EQ(f.size(), 0u);
+}
+
+TEST(Fifo, FrontThrowsUnlessCanPop) {
+  Simulator sim;
+  Fifo<int> f(sim, "f", 4);
+  EXPECT_THROW(f.front(), contract_error);
+  f.push(1);
+  EXPECT_THROW(f.front(), contract_error)
+      << "a push into an empty FIFO is not poppable before the clock edge";
+  sim.step();
+  f.push(2);
+  sim.step();
+  EXPECT_EQ(f.front(), 1);
+  EXPECT_EQ(f.pop(), 1);
+  EXPECT_THROW(f.front(), contract_error)
+      << "after a same-cycle pop nothing is poppable until the clock edge";
+  sim.step();
+  EXPECT_EQ(f.front(), 2);
+}
+
+TEST(Fifo, FrontReferenceSurvivesDropAndSameCyclePush) {
+  // A consumer may read a wide message in place: the reference taken
+  // before drop() must still read the same element after a same-cycle
+  // push, at every ring position.
+  Simulator sim;
+  Fifo<int> f(sim, "f", 2);
+  f.push(0);
+  sim.step();
+  for (int i = 1; i < 12; ++i) {
+    ASSERT_TRUE(f.can_pop());
+    const int& msg = f.front();
+    f.drop();
+    ASSERT_TRUE(f.can_push());
+    f.push(100 + i);
+    EXPECT_EQ(msg, i == 1 ? 0 : 100 + i - 1) << "cycle " << i;
+    sim.step();
+  }
+}
+
+TEST(Fifo, HighWaterMarkIsCommittedOccupancyPlusOne) {
+  Simulator sim;
+  sim.enable_profiling();
+  Fifo<int> f(sim, "f", 4);
+  f.push(1);
+  sim.step();
+  f.push(2);
+  sim.step();
+  EXPECT_EQ(sim.metrics().value("f/hwm"), 2u);
+  // Committed occupancy is 2 at this push: the same-cycle pop before it
+  // does not lower it.
+  EXPECT_EQ(f.pop(), 1);
+  f.push(3);
+  EXPECT_EQ(sim.metrics().value("f/hwm"), 3u);
+  sim.step();
+  EXPECT_EQ(f.size(), 2u);
+}
+
 enum class St { A, B, C };
 
 TEST(FsmState, TransitionNextCycle) {
@@ -239,7 +336,7 @@ TEST(RingBuffer, WrapsAroundManyTimes) {
   RingBuffer<int> rb(3);
   int next_in = 0, next_out = 0;
   for (int round = 0; round < 50; ++round) {
-    while (!rb.full()) rb.push_back(next_in++);
+    while (!rb.full()) rb.append() = next_in++;
     EXPECT_EQ(rb.size(), 3u);
     EXPECT_EQ(rb.at(0), next_out);
     EXPECT_EQ(rb.at(2), next_out + 2);
@@ -250,18 +347,24 @@ TEST(RingBuffer, WrapsAroundManyTimes) {
   EXPECT_THROW(rb.at(3), smache::contract_error);
 }
 
-TEST(RingBuffer, StagingBackSurvivesSameCyclePop) {
-  // The slot index handed out by staging_back() must stay the published
-  // back slot when a pop commits first — the FIFO's commit order.
-  RingBuffer<int> rb(2);
-  rb.push_back(10);
-  rb.push_back(11);
-  rb.pop_front();          // room opens...
-  rb.staging_back() = 12;  // ...and the staged slot lands right behind 11
-  rb.commit_back();
-  EXPECT_EQ(rb.front(), 11);
+TEST(RingBuffer, AppendFillsTheSlotPastTheBackInPlace) {
+  // append() returns the slot it just published, for the caller to fill;
+  // after a pop it is the slot just past the old back, so a reference to
+  // the popped front survives unless the buffer was full before the pop.
+  RingBuffer<int> rb(3);
+  rb.append() = 10;
+  rb.append() = 11;
+  const int& popped = rb.front();
   rb.pop_front();
-  EXPECT_EQ(rb.front(), 12);
+  int& slot = rb.append();
+  EXPECT_EQ(rb.size(), 2u);
+  slot = 12;
+  EXPECT_EQ(popped, 10) << "append must not reuse the just-freed front slot";
+  EXPECT_EQ(rb.at(0), 11);
+  EXPECT_EQ(rb.at(1), 12);
+  rb.append() = 13;
+  EXPECT_TRUE(rb.full());
+  EXPECT_THROW(rb.append(), smache::contract_error);
 }
 
 TEST(Fifo, PushSlotAndDropMatchPushAndPop) {
