@@ -36,7 +36,7 @@ void BM_BramReadWriteCycle(benchmark::State& state) {
   for (auto _ : state) {
     b.read(addr);
     b.write((addr + 512) % 1024, addr);
-    sim.step();
+    b.settle();
     benchmark::DoNotOptimize(b.rdata());
     addr = (addr + 1) % 1024;
   }
@@ -77,7 +77,7 @@ void BM_StreamBufferShift(benchmark::State& state) {
   smache::word_t v = 0;
   for (auto _ : state) {
     sb.shift(v++);
-    sim.step();
+    sb.settle();
     benchmark::DoNotOptimize(sb.tap(2));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));

@@ -5,7 +5,7 @@
 //
 // "Estimate" = the analytic cost model on the planned buffer architecture
 // (no physical rounding, no control overhead), exactly like the paper's
-// estimate rows. "Actual" = the elaborated design: every Reg/BramBank the
+// estimate rows. "Actual" = the elaborated design: every register/BramBank the
 // RTL instantiates reports its bits to the resource ledger, with
 // synthesis-style physical rounding on BRAM banks; Rtotal additionally
 // includes the controller's FSM/counter registers — which is why actual

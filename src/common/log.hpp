@@ -10,7 +10,7 @@ namespace smache {
 enum class LogLevel { Debug = 0, Info = 1, Warn = 2, Error = 3, Off = 4 };
 
 /// Global log configuration. Not thread-safe by design: the simulator is
-/// single-threaded (an HDL-like two-phase scheduler), and the benches set
+/// single-threaded (an HDL-like cycle scheduler), and the benches set
 /// the level once at startup.
 class Log {
  public:

@@ -4,10 +4,16 @@
 //   * one synchronous read port: read(addr) at cycle t makes the data
 //     available from rdata() at cycle t+1 (the bank has a registered output
 //     stage — this is also why physical depth gains one word, see below);
-//   * one write port: write(addr, v) commits at the clock edge;
+//     rdata() holds until the next read;
+//   * one write port: write(addr, v) lands at the clock edge;
 //   * read-during-write to the same address returns OLD data
 //     (read-before-write mode, the safe default on Intel devices);
 //   * at most one read and one write per cycle.
+//
+// A bank is read only by the module that owns it, so the clock edge is the
+// owner's settle() at the end of its eval (sim/module.hpp): it latches the
+// read issued this cycle, then lands the write. A testbench driving a bank
+// directly is its owner and calls settle() where its clock edge falls.
 //
 // Physical rounding ("synthesis"): logical capacity is what the design
 // asked for; the bank that actually gets stitched out of device RAM is
@@ -30,7 +36,6 @@
 
 #include "common/assert.hpp"
 #include "common/bits.hpp"
-#include "sim/clocked.hpp"
 #include "sim/simulator.hpp"
 
 namespace smache::mem {
@@ -59,19 +64,16 @@ inline void charge_bram(sim::ResourceLedger& ledger, std::string_view path,
   ledger.add(path, sim::ResKind::BramBlocks, smache::ceil_div(bits, kM20kBits));
 }
 
-class BramBank : public sim::Clocked {
+class BramBank {
  public:
   using Mode = BramMode;
 
   BramBank(sim::Simulator& sim, std::string_view path, std::size_t depth,
            std::uint32_t width_bits, Mode mode)
       : depth_(depth), width_bits_(width_bits), mode_(mode),
-        store_(depth, 0),
-        ctl_{store_.data(), 0, 0, 0, 0, false, false} {
+        store_(depth, 0) {
     SMACHE_REQUIRE(depth >= 1);
     SMACHE_REQUIRE(width_bits >= 1 && width_bits <= 64);
-    sim.register_clocked(this);
-    set_bram_commit(&ctl_);
     charge_bram(sim.ledger(), path, depth, width_bits, mode);
   }
 
@@ -87,55 +89,49 @@ class BramBank : public sim::Clocked {
     return static_cast<std::uint64_t>(physical_depth()) * width_bits_;
   }
 
-  /// Issue a synchronous read; rdata() returns the value next cycle.
+  /// Issue a synchronous read; rdata() returns the value after settle().
   void read(std::size_t addr) {
     SMACHE_REQUIRE(addr < depth_);
-    SMACHE_REQUIRE_MSG(!ctl_.read_pending,
-                       "two reads in one cycle on 1R port");
-    ctl_.read_addr = addr;
-    ctl_.read_pending = true;
-    mark_dirty();
+    SMACHE_REQUIRE_MSG(!read_pending_, "two reads in one cycle on 1R port");
+    read_addr_ = addr;
+    read_pending_ = true;
   }
 
   /// Registered read data from the most recent read(). Holds its value
-  /// until the next read completes.
-  std::uint64_t rdata() const noexcept { return ctl_.rdata; }
+  /// until the next read is settled.
+  std::uint64_t rdata() const noexcept { return rdata_; }
 
-  /// Issue a write, applied at the clock edge.
+  /// Issue a write, applied at settle().
   void write(std::size_t addr, std::uint64_t value) {
     SMACHE_REQUIRE(addr < depth_);
-    SMACHE_REQUIRE_MSG(!ctl_.write_pending,
-                       "two writes in one cycle on 1W port");
-    ctl_.write_addr = addr;
-    ctl_.write_value = value & mask();
-    ctl_.write_pending = true;
-    mark_dirty();
+    SMACHE_REQUIRE_MSG(!write_pending_, "two writes in one cycle on 1W port");
+    write_addr_ = addr;
+    write_value_ = value & mask();
+    write_pending_ = true;
   }
 
-  /// Test-bench backdoor (NOT hardware): inspect committed contents.
+  /// The owner's clock edge: latch this cycle's read before its write
+  /// lands (read-before-write), then apply the write.
+  void settle() noexcept {
+    if (read_pending_) {
+      rdata_ = store_[read_addr_];
+      read_pending_ = false;
+    }
+    if (write_pending_) {
+      store_[write_addr_] = write_value_;
+      write_pending_ = false;
+    }
+  }
+
+  /// Test-bench backdoor (NOT hardware): inspect settled contents.
   std::uint64_t peek(std::size_t addr) const {
     SMACHE_REQUIRE(addr < depth_);
     return store_[addr];
   }
-  /// Test-bench backdoor (NOT hardware): set committed contents.
+  /// Test-bench backdoor (NOT hardware): set settled contents.
   void poke(std::size_t addr, std::uint64_t value) {
     SMACHE_REQUIRE(addr < depth_);
     store_[addr] = value & mask();
-  }
-
-  void commit() override {
-    // Read samples the array before this cycle's write lands:
-    // read-before-write semantics. Normally executed inline by the commit
-    // loop via the registered BramCommitCtl; kept equivalent here for
-    // direct callers.
-    if (ctl_.read_pending) {
-      ctl_.rdata = store_[ctl_.read_addr];
-      ctl_.read_pending = false;
-    }
-    if (ctl_.write_pending) {
-      store_[ctl_.write_addr] = ctl_.write_value;
-      ctl_.write_pending = false;
-    }
   }
 
  private:
@@ -148,7 +144,12 @@ class BramBank : public sim::Clocked {
   std::uint32_t width_bits_;
   Mode mode_;
   std::vector<std::uint64_t> store_;
-  BramCommitCtl ctl_;
+  std::size_t read_addr_ = 0;
+  std::uint64_t rdata_ = 0;
+  std::size_t write_addr_ = 0;
+  std::uint64_t write_value_ = 0;
+  bool read_pending_ = false;
+  bool write_pending_ = false;
 };
 
 }  // namespace smache::mem

@@ -23,9 +23,9 @@ DramModel::DramModel(sim::Simulator& sim, const std::string& path,
   SMACHE_REQUIRE_MSG(config.read_latency >= 1,
                      "read_latency must be >= 1 (transit stage count)");
   set_obs_name(path);
-  // Activity gating: while inert the model sleeps; a committed push on
-  // either request channel is new work, and a committed pop on read_data
-  // is what releases a full-channel back-pressure freeze.
+  // Activity gating: while inert the model sleeps; a push on either
+  // request channel is new work, and a pop on read_data is what releases a
+  // full-channel back-pressure freeze.
   read_req_.set_consumer(this);
   write_req_.set_consumer(this);
   read_data_.set_producer(this);
@@ -48,7 +48,7 @@ void DramModel::eval() {
   // Inert: nothing queued, nothing in flight, no stall burst draining. A
   // full eval would only rotate bubbles round the transit line (no word is
   // in flight), which is unobservable, so freezing the line while inert
-  // is exact — and so is sleeping until a request channel commits a push.
+  // is exact — and so is sleeping until a request channel takes a push.
   // (An injected stall burst keeps the model awake: it counts
   // injected_stall_cycles per cycle, which is observable through
   // stats().)
@@ -82,7 +82,7 @@ void DramModel::eval() {
       mreg_->count(s_backpressure_);
       // Back-pressure from the design: the whole read pipe holds. With no
       // posted writes left to drain this state is fully frozen — every
-      // future cycle is a no-op until the design commits a read_data pop
+      // future cycle is a no-op until the design makes a read_data pop
       // (space) or a write_req push (new drain work), both of which wake
       // us.
       if (write_req_.empty()) sleep();

@@ -1,6 +1,6 @@
 // Off-chip DRAM model with AXI-style channels.
 //
-// Channels (all sim::Fifo, so all communication is properly clocked):
+// Channels (all sim::Fifo, so all communication publishes by cycle stamp):
 //   read_req   : design -> DRAM   {start address, burst length}
 //   read_data  : DRAM  -> design  one word per cycle while streaming
 //   write_req  : design -> DRAM   {address, data}, posted writes
@@ -22,7 +22,7 @@
 //
 // The model is a behavioural leaf device: its private scheduling state is
 // updated directly inside eval() (legal because no other module observes
-// it; all externally visible effects go through the clocked FIFOs).
+// it; all externally visible effects go through the FIFO channels).
 #pragma once
 
 #include <algorithm>
@@ -34,7 +34,7 @@
 #include "common/assert.hpp"
 #include "common/word.hpp"
 #include "mem/dram_config.hpp"
-#include "sim/clocked.hpp"
+#include "sim/module.hpp"
 #include "sim/fifo.hpp"
 #include "sim/simulator.hpp"
 
@@ -75,7 +75,7 @@ class DramModel : public sim::Module {
     SMACHE_REQUIRE(addr < store_.size());
     store_[addr] = value;
   }
-  /// Bulk backdoor: a pointer to `count` committed words starting at
+  /// Bulk backdoor: a pointer to `count` stored words starting at
   /// `addr` (valid until the next poke/eval — copy out before stepping).
   const word_t* peek_span(std::uint64_t addr, std::uint64_t count) const {
     SMACHE_REQUIRE(addr + count <= store_.size());

@@ -61,7 +61,7 @@ BaselineTop::BaselineTop(sim::Simulator& sim, const std::string& path,
   scratch_.resize(shape.size() * fields_);
   // Activity gating: the requester stalls only on request-channel space,
   // the collector only on data arrival / write-channel space — all channel
-  // commits we can subscribe to.
+  // events we can subscribe to.
   dram.read_req().set_producer(this);
   dram.read_data().set_consumer(this);
   dram.write_req().set_producer(this);
@@ -239,6 +239,7 @@ void BaselineTop::eval() {
   }
   // The clock edge of the registers only this top reads. The writer stages
   // nothing at F = 1.
+  top_.settle();
   ctrl_.settle();
   if (fields_ > 1) writer_.settle();
 }

@@ -126,8 +126,8 @@ class BaselineTop : public sim::Module {
   // like sources_. Built lazily on the first eval (see eval()).
   std::vector<std::uint32_t> case_of_cell_;
 
-  // The FSM register commits two-phase; ctrl_, tuple_ and the writer's
-  // staging are read only here and settled by eval().
+  // The FSM register, ctrl_, tuple_ and the writer's staging are read only
+  // here and settled by eval().
   sim::FsmState<Top> top_;
   sim::RegGroup<Ctrl> ctrl_;
   // The collector's tuple registers (<path>/datapath/tuple_regs), taps * F

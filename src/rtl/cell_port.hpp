@@ -11,8 +11,8 @@
 //     wb_vals). It reports when a cell is fully written.
 //
 // Both charge their staging registers to the ledger only for F > 1. The
-// staging registers are read only by the port's owning top, which commits
-// them with settle() at the end of its eval (sim::RegGroup). At F = 1
+// staging registers are read only by the port's owning top, which settles
+// them at the end of its eval (sim::RegGroup). At F = 1
 // every word is a whole cell: nothing stages, no staging register is
 // written (the top skips settling the port), and the port is the
 // pop-and-shift / pop-and-post datapath of single-word cells. The

@@ -39,9 +39,9 @@ KernelPipeline::KernelPipeline(sim::Simulator& sim, const std::string& path,
     sim.ledger().add(path + "/stage" + std::to_string(s),
                      sim::ResKind::RegisterBits, payload_bits + idx_bits + 1);
   }
-  // Activity gating: a push committing on `in` is the only event that can
-  // end emptiness; a pop committing on `out` is the only event that can end
-  // a full-output freeze.
+  // Activity gating: a push on `in` is the only event that can end
+  // emptiness; a pop on `out` is the only event that can end a full-output
+  // freeze.
   in_.set_consumer(this);
   out_.set_producer(this);
   sim.add_module(this);
@@ -56,9 +56,9 @@ bool KernelPipeline::empty() const noexcept {
 
 void KernelPipeline::eval() {
   // Quiescent: no valid tuple in any stage and nothing to accept. Advancing
-  // would only shift bubbles into bubbles — the committed state after such
-  // a cycle is bit-identical to not scheduling the writes at all, so sleep
-  // until the input channel commits a push.
+  // would only shift bubbles into bubbles — the state after such a cycle is
+  // bit-identical to not writing the stages at all, so sleep until the
+  // input channel takes a push.
   if (occupancy_ == 0 && in_.empty()) {
     sleep();
     return;
@@ -66,7 +66,7 @@ void KernelPipeline::eval() {
 
   // All-or-nothing advance: the pipeline only moves when its tail can
   // retire into the output FIFO (or the tail is a bubble). A freeze is
-  // quiescent too — nothing changes until the output channel commits a pop.
+  // quiescent too — nothing changes until the output channel takes a pop.
   const Stage& tail = pipe_.back();
   const bool can_retire = !tail.valid || out_.can_push();
   if (!can_retire) {
@@ -89,7 +89,7 @@ void KernelPipeline::eval() {
   // computed here and carried through the remaining stages (the stage regs
   // charge the bits a real pipeline would hold).
   if (in_.can_pop()) {
-    const TupleMsg& msg = in_.front();  // valid until the commit phase
+    const TupleMsg& msg = in_.front();  // valid for the rest of the cycle
     SMACHE_ASSERT(msg.count <= tuple_size_ * fields_);
     Stage head;
     head.valid = true;

@@ -82,11 +82,11 @@ class KernelPipeline : public sim::Module {
   sim::Fifo<ResultMsg> out_;
   // The stage registers, head first. Only eval() reads them, so it shifts
   // them in place, tail first: every stage takes its predecessor's value
-  // from before the shift (see "Which state is two-phase", clocked.hpp).
+  // from before the shift, as a clock edge would give (sim/module.hpp).
   std::vector<Stage> pipe_;
   // Valid tuples currently in the stage registers (behavioural bookkeeping,
   // private to eval): when zero with no input waiting, the pipeline is
-  // quiescent — eval sleeps until the input channel's push commit wakes it.
+  // quiescent — eval sleeps until a push on the input channel wakes it.
   std::uint32_t occupancy_ = 0;
 
   // -- observability: stalled-eval counter for a full output channel --

@@ -107,9 +107,9 @@ SmacheTop::SmacheTop(sim::Simulator& sim, const std::string& path,
       st.input->set_consumer(this);
       st.input->set_producer(this);
     }
-    // Activity gating: these channel commits are the only external events
-    // that can unblock a starved Run/Warmup state (data arriving, space
-    // freeing), so a quiescent controller sleeps on them.
+    // Activity gating: these channels' pushes and pops are the only
+    // external events that can unblock a starved Run/Warmup state (data
+    // arriving, space freeing), so a quiescent controller sleeps on them.
     st.kernel->in().set_producer(this);
     st.kernel->out().set_consumer(this);
     stages_.push_back(std::move(st));
@@ -176,10 +176,17 @@ void SmacheTop::eval() {
       sleep();
       break;
   }
-  // The clock edge of the registers only this top reads. The cell port
-  // stages nothing at F = 1.
+  // The clock edge of the state only this top reads. The static banks are
+  // settled only on evals that touched them, and the cell port stages
+  // nothing at F = 1.
+  top_.settle();
   ctrl_.settle();
+  for (Stage& st : stages_) st.window->settle();
   for (std::size_t k = 1; k < stages_.size(); ++k) stages_[k].ctrl->settle();
+  if (statics_touched_) {
+    statics_.settle();
+    statics_touched_ = false;
+  }
   if (fields_ > 1) {
     reader_.settle();
     writer_.settle();
@@ -208,13 +215,14 @@ void SmacheTop::eval_warmup() {
       ctrl_.d().warm_req = true;
     } else {
       mreg_->count(s_req_bp_);
-      sleep();  // wake: read_req pop commit frees a request slot
+      sleep();  // wake: a read_req pop frees a request slot
     }
     return;
   }
   if (dram_.read_data().can_pop()) {
     const word_t v = dram_.read_data().pop();
     bank.active_write(c.warm_idx, v);
+    statics_touched_ = true;
     if (c.warm_idx + 1 == w) {
       ctrl_.d().warm_idx = 0;
       ctrl_.d().warm_req = false;
@@ -224,7 +232,7 @@ void SmacheTop::eval_warmup() {
     }
   } else {
     mreg_->count(s_dram_wait_);
-    sleep();  // wake: read_data push commit delivers the next burst word
+    sleep();  // wake: a read_data push delivers the next burst word
   }
 }
 
@@ -234,6 +242,7 @@ void SmacheTop::eval_warmup() {
 void SmacheTop::issue_static_reads(std::uint64_t cell) {
   const CasePlan& cp = case_plans_[case_of_cell_[cell]];
   if (cp.statics.empty()) return;  // interior case: nothing to pre-issue
+  statics_touched_ = true;
   const std::size_t w = plan_.width();
   const std::size_t c = col_of_cell_[cell];
   for (const StaticIssue& s : cp.statics) {
@@ -347,9 +356,11 @@ bool SmacheTop::write_back(KernelPipeline& last) {
     const ResultMsg res = last.out().pop();
     if (static_path_) {
       const std::uint32_t row = row_of_cell_[res.index];
-      if (capture_row_[row])
+      if (capture_row_[row]) {
         statics_.capture_output_cell(row, col_of_cell_[res.index],
                                      res.values.data());
+        statics_touched_ = true;
+      }
     } else if (warmup_end_ == 0) {
       warmup_end_ = sim_.now();  // fused: the chain's fill ends here
     }
@@ -364,11 +375,11 @@ bool SmacheTop::write_back(KernelPipeline& last) {
 }
 
 // The per-cycle path. flatten inlines every channel and register helper
-// the stage body calls: left to its own heuristics, GCC keeps mark_dirty()
-// and the FIFO pops out of line here, which costs the depth-1 loop several
-// percent. Stage 0 (eval_stage<true>) is compiled into eval_run() itself;
-// the later stages of a fused chain stay out of line, so the depth-1 cycle
-// remains one compact body. (A runtime `k == 0` test in place of the
+// the stage body calls: left to its own heuristics, GCC keeps the FIFO
+// pops out of line here, which costs the depth-1 loop several percent.
+// Stage 0 (eval_stage<true>) is compiled into eval_run() itself; the later
+// stages of a fused chain stay out of line, so the depth-1 cycle remains
+// one compact body. (A runtime `k == 0` test in place of the
 // template parameter ran ~10% slower on perfbench paper_stream, GCC 12,
 // 4-vCPU x86-64.)
 [[gnu::noinline, gnu::flatten]] bool SmacheTop::eval_later_stages() {
@@ -398,7 +409,7 @@ bool SmacheTop::write_back(KernelPipeline& last) {
 
   // Starved: every blocker above is an external channel condition (data
   // not yet delivered, space not yet freed), and each is subscribed to in
-  // the constructor, so the controller can sleep until one commits.
+  // the constructor, so the controller can sleep until one moves.
   if (!did_work) sleep();
 }
 
@@ -418,6 +429,7 @@ void SmacheTop::eval_swap() {
   }
   const Ctrl& c = ctrl_.q();
   statics_.swap_all();
+  statics_touched_ = true;
   Ctrl& d = ctrl_.d();
   d.pass = c.pass + 1;
   d.head = StageCtrl{};

@@ -173,12 +173,18 @@ class SmacheTop : public sim::Module {
   bool static_path_;
   sim::Simulator& sim_;
 
+  // State this top owns — the stage windows and counters, the static
+  // banks, the FSM register, ctrl_ and the cell port's staging — is read
+  // only here and settled at the end of eval(); everything else it reaches
+  // is a channel.
   std::vector<Stage> stages_;
   StaticBufferSet statics_;  // no banks when fused
+  // Set by the four paths that touch the static banks (pre-issue,
+  // write-through capture, warm-up write, swap): eval() settles the banks
+  // only then, since settling untouched banks lands nothing.
+  bool statics_touched_ = false;
 
-  // Controller state (all charged under <path>/ctrl). The FSM register
-  // commits two-phase; ctrl_, the stage counters and the cell port's
-  // staging are read only here and settled at the end of eval().
+  // Controller state (all charged under <path>/ctrl).
   sim::FsmState<Top> top_;
   sim::RegGroup<Ctrl> ctrl_;
   // DRAM-facing cell port: stage 0's input cells, the last stage's

@@ -61,7 +61,12 @@ void StaticBufferBank::active_write(std::size_t index, word_t value) {
     bank(r, /*shadow=*/false, field).write(cell, value);
 }
 
-void StaticBufferBank::swap() { active_.d(!active_.q()); }
+void StaticBufferBank::swap() { active_.d() = !active_.q(); }
+
+void StaticBufferBank::settle() noexcept {
+  for (auto& copy : copies_) copy->settle();
+  active_.settle();
+}
 
 word_t StaticBufferBank::peek_active(std::size_t index) const {
   return static_cast<word_t>(
@@ -95,6 +100,10 @@ void StaticBufferSet::capture_output_cell(std::size_t row, std::size_t col,
 
 void StaticBufferSet::swap_all() {
   for (auto& b : banks_) b->swap();
+}
+
+void StaticBufferSet::settle() noexcept {
+  for (auto& b : banks_) b->settle();
 }
 
 }  // namespace smache::rtl

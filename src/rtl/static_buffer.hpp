@@ -15,6 +15,10 @@
 // note that concurrent BRAM reads synthesise into multiple identical BRAMs.
 // Every replica carries both copies; warm-up and write-through update all
 // replicas in lock-step from the single write stream (one write port each).
+//
+// The banks are read only by their owning top, so its settle() at the end
+// of an eval that touched them is their clock edge (sim/module.hpp): reads,
+// writes and a swap issued in one cycle all land there together.
 #pragma once
 
 #include <cstdint>
@@ -47,6 +51,9 @@ class StaticBufferBank {
   /// replica (all F field banks read in lock-step); field f is available
   /// from rdata(replica, f) next cycle.
   void read(std::size_t replica, std::size_t index);
+  /// Output register of the copy active when called: after a swap() it
+  /// shows what the other copy last latched, so a read and a swap landing
+  /// at one settle are seen only once the copies swap back.
   word_t rdata(std::size_t replica, std::size_t field = 0) const;
 
   /// FSM-3 write-through: store all F words of output-grid `cell` at cell
@@ -57,11 +64,15 @@ class StaticBufferBank {
   /// field — DRAM order) into the ACTIVE copy of every replica.
   void active_write(std::size_t index, word_t value);
 
-  /// Flip active/shadow at a work-instance boundary (takes effect next
-  /// cycle, like any register).
+  /// Flip active/shadow at a work-instance boundary (takes effect at
+  /// settle(), like any register).
   void swap();
 
-  /// Test backdoor: committed WORD (cell * F + field) of the active copy
+  /// The owner's clock edge: land this cycle's reads and writes on every
+  /// copy (each read before its bank's write), then the swap.
+  void settle() noexcept;
+
+  /// Test backdoor: settled WORD (cell * F + field) of the active copy
   /// of replica 0.
   word_t peek_active(std::size_t index) const;
 
@@ -73,7 +84,7 @@ class StaticBufferBank {
 
   model::StaticBufferSpec spec_;
   std::size_t fields_;
-  sim::Reg<bool> active_;
+  sim::RegGroup<bool> active_;
   std::vector<std::unique_ptr<mem::BramBank>> copies_;
 };
 
@@ -93,6 +104,9 @@ class StaticBufferSet {
                            const word_t* cell);
 
   void swap_all();
+
+  /// Settle every bank (see StaticBufferBank::settle).
+  void settle() noexcept;
 
  private:
   std::vector<std::unique_ptr<StaticBufferBank>> banks_;

@@ -23,8 +23,6 @@ StreamBuffer::StreamBuffer(sim::Simulator& sim, const std::string& path,
   SMACHE_REQUIRE_MSG(ring_words_ <= std::numeric_limits<std::uint32_t>::max(),
                      "window ring exceeds the head index's range");
   ring_.assign(ring_words_, word_t{0});
-  sim.register_clocked(this);
-  set_copy_commit(&head_q_, &head_next_, sizeof head_q_);
 
   // Charge the hardware the ring stands in for (see header). F = 1 keeps
   // the original per-path charges; extra fields widen the registers and
@@ -73,11 +71,10 @@ void StreamBuffer::shift(word_t in) {
 void StreamBuffer::shift_cell(const word_t* cell) {
   // The slot just behind the oldest age (age window_len + 1) is read by no
   // tap, so the entering cell can land there now; moving the head back
-  // onto it at the clock edge makes it age 1 and ages everything else.
+  // onto it at settle() makes it age 1 and ages everything else.
   const std::size_t head = (head_q_ == 0 ? ring_words_ : head_q_) - fields_;
   for (std::size_t f = 0; f < fields_; ++f) ring_[head + f] = cell[f];
   head_next_ = static_cast<std::uint32_t>(head);
-  mark_dirty();
 }
 
 word_t StreamBuffer::tap(std::size_t age) const {

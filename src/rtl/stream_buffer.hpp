@@ -29,12 +29,13 @@
 //
 // How it simulates that hardware. Whichever primitive holds an age, the
 // value there is the cell shifted in `age` shifts ago, so the window is
-// stored as one ring of window_len + 1 cells behind a head index — the
-// buffer's only state element. A shift writes the entering cell into the
-// slot just behind the oldest age, which no tap reads before the clock
-// edge, and schedules the head to step back onto it: the commit is a
-// 4-byte head copy, and every stored cell ages by one. Only register ages
-// are readable, exactly as in the hardware.
+// stored as one ring of window_len + 1 cells behind a head index. A shift
+// writes the entering cell into the slot just behind the oldest age, which
+// no tap reads before the clock edge, and schedules the head to step back
+// onto it. The window is read only by its owning top, so the clock edge is
+// the top's settle() at the end of its eval (sim/module.hpp): a 4-byte
+// head copy, after which every stored cell has aged by one. Only register
+// ages are readable, exactly as in the hardware.
 #pragma once
 
 #include <cstdint>
@@ -44,12 +45,11 @@
 #include "common/assert.hpp"
 #include "common/word.hpp"
 #include "model/planner.hpp"
-#include "sim/clocked.hpp"
 #include "sim/simulator.hpp"
 
 namespace smache::rtl {
 
-class StreamBuffer : public sim::Clocked {
+class StreamBuffer {
  public:
   /// `fields` widens every window position to an F-word cell (F
   /// interleaved words per ring slot; one BRAM bank per field charged per
@@ -61,7 +61,8 @@ class StreamBuffer : public sim::Clocked {
   std::size_t fields() const noexcept { return fields_; }
 
   /// Schedule one shift: `in` enters at age 1, every stored element ages by
-  /// one. Must be called at most once per cycle. Single-field form.
+  /// one at the next settle(). Must be called at most once per cycle.
+  /// Single-field form.
   void shift(word_t in);
 
   /// Cell-wide shift: `cell` points at the entering cell's F words.
@@ -95,7 +96,8 @@ class StreamBuffer : public sim::Clocked {
     return age < is_reg_.size() && is_reg_[age] != 0;
   }
 
-  void commit() override { head_q_ = head_next_; }
+  /// The owner's clock edge: land this cycle's shift, if any.
+  void settle() noexcept { head_q_ = head_next_; }
 
  private:
   std::size_t window_len_;
@@ -104,7 +106,7 @@ class StreamBuffer : public sim::Clocked {
   std::size_t window_words_ = 0;      // window_len * F: the readable words
   std::size_t ring_words_ = 0;        // (window_len + 1) * F
   std::vector<word_t> ring_;
-  // Word index of age 1 (committed, and scheduled by shift_cell).
+  // Word index of age 1 (settled, and scheduled by shift_cell).
   std::uint32_t head_q_ = 0;
   std::uint32_t head_next_ = 0;
 };

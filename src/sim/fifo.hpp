@@ -1,19 +1,20 @@
-// FIFO channel — the only way modules communicate in this substrate.
+// FIFO channel — the only way modules communicate in this substrate, and
+// the only state two modules share (sim/module.hpp).
 //
 // Semantics (all hardware-like):
 //   * at most one push and one pop per cycle (one write port, one read port);
 //   * a value pushed at cycle t becomes poppable at cycle t+1;
-//   * can_push() is based on committed occupancy plus this cycle's push,
-//     NOT on this cycle's pop — like a FIFO whose `full` flag is
+//   * can_push() is based on start-of-cycle occupancy plus this cycle's
+//     push, NOT on this cycle's pop — like a FIFO whose `full` flag is
 //     registered. This makes producer/consumer evaluation order irrelevant;
 //   * capacity must be >= 1.
 //
-// Publication by cycle stamp — the one rule for when a channel write
-// lands. A push or pop changes the ring at once and records the cycle it
-// happened on. Every reader (size, empty, can_push, can_pop, front) sees
-// the committed, start-of-cycle view: it discounts this cycle's push and
-// pop, and the stamps stop matching once the cycle ends. So a FIFO needs
-// no commit and is not a Clocked element. A push never writes the slot a
+// Publication by cycle stamp — the rule for when a channel write lands. A
+// push or pop changes the ring at once and records the cycle it happened
+// on. Every reader (size, empty, can_push, can_pop, front) sees the
+// start-of-cycle view: it discounts this cycle's push and pop, and the
+// stamps stop matching once the cycle ends. So a FIFO needs no clock edge
+// of its own, and no owner settles it. A push never writes the slot a
 // same-cycle pop frees (a pop frees no space this cycle), so a front()
 // reference taken before drop() reads the same element for the rest of
 // the cycle. A push wakes the registered consumer and a pop the registered
@@ -37,7 +38,7 @@
 
 #include "common/assert.hpp"
 #include "common/bits.hpp"
-#include "sim/clocked.hpp"
+#include "sim/module.hpp"
 #include "sim/simulator.hpp"
 #include "sim/reg.hpp"
 #include "sim/ring_buffer.hpp"
@@ -72,7 +73,7 @@ class Fifo {
   void set_producer(Module* m) noexcept { producer_ = m; }
 
   std::size_t capacity() const noexcept { return items_.capacity(); }
-  /// Committed occupancy (start-of-cycle view).
+  /// Occupancy at the start of the cycle.
   std::size_t size() const noexcept {
     const std::uint64_t now = sim_->now();
     return items_.size() - (push_at_ == now) + (pop_at_ == now);
@@ -97,7 +98,7 @@ class Fifo {
   /// writing every field the consumer will read.
   T& push_slot() {
     SMACHE_REQUIRE_MSG(can_push(), "fifo overflow or double push in a cycle");
-    // Occupancy high-water mark (<path>/hwm): committed size plus this
+    // Occupancy high-water mark (<path>/hwm): start-of-cycle size plus this
     // push. The occupancy math stays behind the enabled check so the
     // disabled path is one branch, not a computation.
     if (mreg_->enabled())
@@ -113,9 +114,9 @@ class Fifo {
     return pop_at_ != now && items_.size() > (push_at_ == now ? 1u : 0u);
   }
 
-  /// Committed front element; valid only when can_pop() (throws
-  /// otherwise). The reference stays valid for the rest of the cycle, a
-  /// drop() and a push included.
+  /// Front element of the start-of-cycle view; valid only when can_pop()
+  /// (throws otherwise). The reference stays valid for the rest of the
+  /// cycle, a drop() and a push included.
   const T& front() const {
     SMACHE_REQUIRE_MSG(can_pop(), "fifo front() without a poppable element");
     return items_.front();

@@ -1,6 +1,7 @@
-// Small helper for finite-state machines: wraps a Reg<Enum> with readable
-// state queries. The Smache controller's three concurrent FSMs (prefetch /
-// gather / write-back) are built on this.
+// Small helper for finite-state machines: a one-register RegGroup<Enum>
+// with readable state queries, settled by its owning module like any
+// register (module.hpp). The Smache controller's three concurrent FSMs
+// (prefetch / gather / write-back) are built on this.
 #pragma once
 
 #include <cstdint>
@@ -25,11 +26,14 @@ class FsmState {
   Enum state() const noexcept { return state_.q(); }
   bool is(Enum s) const noexcept { return state_.q() == s; }
 
-  /// Schedule a transition for the next cycle.
-  void go(Enum s) { state_.d(s); }
+  /// Schedule a transition; it takes effect at the owner's settle().
+  void go(Enum s) noexcept { state_.d() = s; }
+
+  /// The owner's clock edge (see RegGroup::settle).
+  void settle() noexcept { state_.settle(); }
 
  private:
-  Reg<Enum> state_;
+  RegGroup<Enum> state_;
 };
 
 }  // namespace smache::sim

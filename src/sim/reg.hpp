@@ -1,8 +1,8 @@
-// Flip-flop primitives: Reg<T> (a single register, committed two-phase by
-// the Simulator, so any module may read it) and RegGroup<S> (registers only
-// their owning module reads, committed by the owner itself). Both charge
-// their bit counts to the ResourceLedger so elaborated designs produce
-// synthesis-style reports.
+// Flip-flop primitive: RegGroup<S>, registers only their owning module
+// reads, settled by that owner (module.hpp: "all other state is settled by
+// its only reader"). A single register is a group of one field. Charges go
+// to the ResourceLedger so elaborated designs produce synthesis-style
+// reports.
 #pragma once
 
 #include <cstdint>
@@ -11,66 +11,46 @@
 #include <type_traits>
 #include <vector>
 
-#include "sim/clocked.hpp"
 #include "sim/simulator.hpp"
 
 namespace smache::sim {
 
-/// Default resource width for a register holding T. Override per-register
-/// for packed fields (FSM states, flags, counters) via the `bits` argument.
+/// Default resource width for a register holding T (a FIFO slot's width
+/// unless the channel passes its own).
 template <typename T>
 constexpr std::uint32_t default_bits() noexcept {
   if constexpr (std::is_same_v<T, bool>) return 1;
   else return static_cast<std::uint32_t>(sizeof(T) * 8);
 }
 
-/// A single clocked register. q() reads the committed value; d() schedules
-/// the next value. If d() is not called in a cycle the register holds (and
-/// the register never appears on that cycle's dirty list).
-template <typename T>
-class Reg : public Clocked {
- public:
-  /// `bits` is the synthesis width charged to the ledger (e.g. a 7-bit
-  /// counter stored in an int should pass 7).
-  Reg(Simulator& sim, std::string_view path, T init,
-      std::uint32_t bits = default_bits<T>())
-      : q_(init), next_(init) {
-    sim.register_clocked(this);
-    if constexpr (std::is_trivially_copyable_v<T>)
-      set_copy_commit(&q_, &next_, sizeof(T));
-    sim.ledger().add(path, ResKind::RegisterBits, bits);
-  }
-
-  const T& q() const noexcept { return q_; }
-  void d(const T& v) {
-    next_ = v;
-    mark_dirty();
-  }
-
-  void commit() override { q_ = next_; }
-
- private:
-  T q_;
-  T next_;
-};
-
 /// A GROUP of logically separate registers that only their owning module
 /// reads: S is a trivially copyable struct whose fields are the grouped
-/// registers (e.g. a top-level controller's counters). A group is not a
-/// Clocked element: the owner commits it with settle() at the end of its
-/// own eval(), which matches one Reg per field exactly under the contract
-/// in clocked.hpp ("Which state is two-phase"). Fields assigned through
-/// d() take the scheduled value at settle(); untouched fields hold (the
-/// next-state struct always carries the committed value for them). Ledger
-/// charges are passed per field, with the paths and widths of one Reg per
-/// field, so synthesis-style reports cannot tell the difference.
+/// registers (e.g. a top-level controller's counters), or one plain value
+/// for a single register. The owner publishes its writes with settle() at
+/// the end of its own eval(); a testbench driving a group directly is its
+/// owner and settles it where its clock edge falls. Fields assigned
+/// through d() take the scheduled value at settle(); untouched fields hold
+/// (the next-state struct always carries the settled value for them).
+/// Ledger charges are passed per field, with the paths and widths of one
+/// register per field, so synthesis-style reports see separate registers.
 template <typename S>
 class RegGroup {
+  static_assert(std::is_trivially_copyable_v<S>,
+                "RegGroup needs a trivially copyable state struct");
+
  public:
   struct FieldCharge {
     std::string path;
     std::uint32_t bits;
   };
+
+  /// A single register charged as `bits` wide at `path` (e.g. a 7-bit
+  /// counter stored in an int passes 7).
+  RegGroup(Simulator& sim, std::string_view path, const S& init,
+           std::uint32_t bits)
+      : q_(init), next_(init) {
+    sim.ledger().add(path, ResKind::RegisterBits, bits);
+  }
 
   RegGroup(Simulator& sim, const S& init,
            std::initializer_list<FieldCharge> fields)
@@ -82,13 +62,11 @@ class RegGroup {
   RegGroup(Simulator& sim, const S& init,
            const std::vector<FieldCharge>& fields)
       : q_(init), next_(init) {
-    static_assert(std::is_trivially_copyable_v<S>,
-                  "RegGroup needs a trivially copyable state struct");
     for (const FieldCharge& f : fields)
       sim.ledger().add(f.path, ResKind::RegisterBits, f.bits);
   }
 
-  /// Committed state (start-of-cycle view until the owner settles).
+  /// Settled state (start-of-cycle view until the owner settles).
   const S& q() const noexcept { return q_; }
 
   /// Next-state struct for field writes; everything not assigned holds.

@@ -1,28 +1,21 @@
-// The cycle scheduler. See clocked.hpp for the two-phase semantics.
+// The cycle scheduler. See module.hpp for when a write lands.
 //
-// A cycle is: fire due timer wakes, eval the awake modules, commit the
-// written state elements, then wake the modules that channel events queued
-// (the end-of-cycle wake). Both phases are activity-gated:
-//   * eval — modules that declared quiescence (Module::sleep/sleep_for) are
-//     dropped from the active list and not called at all; they return on a
-//     wake event (a channel push/pop, timer expiry, explicit wake()). When
-//     NOTHING is active, nothing is pending commit or wake and no channel
-//     moved in the previous cycle or since, whole idle stretches are
-//     fast-forwarded in O(1) (cycle numbering is unchanged — the skipped
-//     cycles provably had no state change).
-//   * commit — state elements that scheduled a write sit on a retained
-//     commit set; elements that keep writing pay one flag store per cycle
-//     (no queue churn), elements that go quiet are dropped by the next
-//     sweep. FIFO channels are not on it: they publish by cycle stamp
-//     (sim/fifo.hpp).
-// Gating is an optimisation bound by a correctness contract (a sleeping
-// module's eval must be observable-state-neutral); set_force_eval_all(true)
-// runs every module every cycle so tests can cross-check the two modes.
+// A cycle is: fire due timer wakes, eval the awake modules, then wake the
+// modules that channel events queued (the end-of-cycle wake). Evals are
+// activity-gated: modules that declared quiescence (Module::sleep/
+// sleep_for) are dropped from the active list and not called at all; they
+// return on a wake event (a channel push/pop, timer expiry, explicit
+// wake()). When NOTHING is active, no wake is pending and no channel moved
+// in the previous cycle or since, whole idle stretches are fast-forwarded
+// in O(1) (cycle numbering is unchanged — the skipped cycles provably had
+// no state change). Gating is an optimisation bound by a correctness
+// contract (a sleeping module's eval must be observable-state-neutral);
+// set_force_eval_all(true) runs every module every cycle so tests can
+// cross-check the two modes.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <string>
 #include <utility>
@@ -31,14 +24,14 @@
 #include "common/assert.hpp"
 #include "obs/metrics.hpp"
 #include "obs/spans.hpp"
-#include "sim/clocked.hpp"
+#include "sim/module.hpp"
 #include "sim/resources.hpp"
 
 namespace smache::sim {
 
-/// Single-clock, two-phase cycle simulator. Non-owning: the test bench or
-/// engine owns modules and state elements; they register themselves here on
-/// construction and must outlive the Simulator's last step().
+/// Single-clock cycle simulator. Non-owning: the test bench or engine owns
+/// the modules; they register themselves here on construction and must
+/// outlive the Simulator's last step().
 class Simulator {
  public:
   Simulator() = default;
@@ -60,27 +53,6 @@ class Simulator {
     active_stale_ = true;
     if (spans_on_) init_span_state(m, modules_.size() - 1);
   }
-
-  /// Register a state element. Only elements that schedule a write in a
-  /// cycle (they enqueue themselves via Clocked::mark_dirty) are committed.
-  void register_clocked(Clocked* c) {
-    SMACHE_REQUIRE(c != nullptr);
-    SMACHE_REQUIRE_MSG(c->sim_ == nullptr || c->sim_ == this,
-                       "state element already registered with another "
-                       "simulator");
-    c->sim_ = this;
-    // One reservation covers a typical design (a top's FSM register,
-    // stream windows and static-bank ports), so elaboration does not
-    // regrow the list at every doubling.
-    if (clocked_.empty()) clocked_.reserve(kTypicalElements);
-    clocked_.push_back(c);
-    // The commit set can never exceed the registered population; sizing it
-    // up front keeps mark_dirty a pure append in the hot loop.
-    commit_set_.reserve(clocked_.capacity());
-  }
-
-  /// Number of registered state elements (reporting/tests).
-  std::size_t clocked_count() const noexcept { return clocked_.size(); }
 
   /// Number of registered modules currently awake (reporting/tests).
   std::size_t awake_module_count() const noexcept {
@@ -172,7 +144,7 @@ class Simulator {
       const std::string name = module_obs_name(m, i);
       const std::uint64_t awake = m->obs_awake_cycles_;
       // Fast-forwarded stretches skip every module; a module neither
-      // evaluated nor fast-forwarded was asleep (idle-commit cycles
+      // evaluated nor fast-forwarded was asleep (stepped idle cycles
       // included). Clamped only against modules registered mid-profile.
       const std::uint64_t asleep =
           total >= awake + prof_ff_cycles_ ? total - awake - prof_ff_cycles_
@@ -183,25 +155,22 @@ class Simulator {
     }
   }
 
-  /// Advance exactly one cycle: eval phase (awake modules only), commit
-  /// phase (elements with writes scheduled this cycle only), end-of-cycle
-  /// wakes. A dedicated body (no burst bookkeeping, no idle fast-forward —
-  /// a single idle cycle IS the fast-forward) keeps the testbench-driven
-  /// single-step loops of the primitive benches lean.
+  /// Advance exactly one cycle: eval the awake modules, then the
+  /// end-of-cycle wakes. A dedicated body (no burst bookkeeping, no idle
+  /// fast-forward — a single idle cycle IS the fast-forward) keeps the
+  /// testbench-driven single-step loops of the channel tests lean.
   void step() {
     if (modules_.empty()) {
       // Testbench-driven fast path: with no modules registered there can be
-      // no timers to fire and no active list to maintain — the cycle is
-      // exactly the commit of whatever the testbench scheduled directly on
-      // BRAMs/registers (FIFOs need none). The primitive microbenches live
-      // here.
+      // no timers to fire and no active list to maintain — the cycle only
+      // moves the clock that FIFO cycle stamps are read against.
       end_idle_cycle();
       return;
     }
     if (next_timer_wake_ <= cycle_ || active_stale_) refresh_schedule();
     if (active_.empty()) {
       // Every module is asleep (and no timer is due): evals are provably
-      // state-neutral, so only the scheduled commits and wakes can do work.
+      // state-neutral, so only the queued wakes can do work.
       end_idle_cycle();
       return;
     }
@@ -230,7 +199,7 @@ class Simulator {
   /// become true (0 and 1 both mean "check after the next cycle") — e.g.
   /// outstanding write-backs, DRAM words in flight, or pipeline fill, each
   /// of which retires at most one per cycle. Every cycle is still
-  /// evaluated/committed normally (stats and spans see all of them); only
+  /// evaluated normally (stats and spans see all of them); only
   /// the predicate checks are skipped, so with a sound bound the results —
   /// including the returned cycle count — are bit-identical to checking
   /// after every cycle, while the done/bound callables run
@@ -264,20 +233,21 @@ class Simulator {
 
  private:
   /// Advance `n` cycles. Per cycle: fire due timer wakes, refresh the
-  /// active list if membership changed, eval the awake modules, commit the
-  /// written state elements, wake the queued modules. When no module is
-  /// awake, nothing is pending commit or wake and no channel moved in the
-  /// previous cycle or since, the remaining idle cycles up to the next
-  /// timer wake (or burst end) are skipped in one jump — provably nothing
-  /// can change during them, so this is pure wall-clock savings with
-  /// identical cycle numbers. The channel condition matters only for FIFOs
-  /// without a registered producer or consumer (a notified module is
-  /// awake on the next cycle anyway); it keeps the idle/fast-forward split
-  /// a channel on the commit set would give.
+  /// active list if membership changed, eval the awake modules, wake the
+  /// queued modules. When no module is awake, no wake is pending and no
+  /// channel moved in the previous cycle or since, the remaining idle
+  /// cycles up to the next timer wake (or burst end) are skipped in one
+  /// jump — provably nothing can change during them, so this is pure
+  /// wall-clock savings with identical cycle numbers. The channel
+  /// condition matters only for FIFOs without a registered producer or
+  /// consumer (a notified module is awake on the next cycle anyway): the
+  /// cycle of such a push or pop and the one after are stepped, not
+  /// skipped, which the idle/fast-forward split
+  /// (sched/cycles/{idle,fastforward}) is pinned to.
   void step_burst(std::uint64_t n) {
     for (std::uint64_t k = 0; k < n; ++k) {
       if (next_timer_wake_ <= cycle_ || active_stale_) refresh_schedule();
-      if (active_.empty() && commit_set_.empty() && wake_queue_ == nullptr &&
+      if (active_.empty() && wake_queue_ == nullptr &&
           cycle_ >= channels_quiet_from_) {
         std::uint64_t idle = n - k;
         if (next_timer_wake_ != Module::kNoWake)
@@ -292,7 +262,7 @@ class Simulator {
       for (std::size_t i = 0; i < m; ++i) mods[i]->eval();
       if (prof_) {
         if (m == 0) {
-          ++prof_idle_cycles_;  // commit/wake-only cycle, no module awake
+          ++prof_idle_cycles_;  // wake-only cycle, no module awake
         } else {
           ++prof_eval_cycles_;
           for (std::size_t i = 0; i < m; ++i) ++mods[i]->obs_awake_cycles_;
@@ -302,78 +272,16 @@ class Simulator {
     }
   }
 
-  /// The clock edge: commit the written state elements, then wake the
-  /// modules channel events queued this cycle.
+  /// The clock edge: wake the modules channel events queued this cycle.
   void end_cycle() {
-    commit_retained();
     if (wake_queue_ != nullptr) flush_wakes();
     ++cycle_;
   }
 
   /// The clock edge of a cycle no module evaluated in.
   void end_idle_cycle() {
-    if (!commit_set_.empty()) commit_retained();
-    if (wake_queue_ != nullptr) flush_wakes();
     if (prof_) ++prof_idle_cycles_;
-    ++cycle_;
-  }
-
-  void commit_retained() {
-    // commit() must not schedule new writes, so the set cannot grow here.
-    // The switch executes the two dominant commit shapes inline (see
-    // clocked.hpp) — only irregular elements pay a virtual dispatch.
-    // Elements that stopped writing are compacted out in the same sweep.
-    Clocked** set = commit_set_.data();
-    const std::size_t n = commit_set_.size();
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      Clocked* c = set[i];
-      if (!c->wrote_) {  // went quiet since last sweep: drop, commit nothing
-        c->queued_ = false;
-        continue;
-      }
-      c->wrote_ = false;
-      if (keep != i) set[keep] = c;
-      ++keep;
-      switch (c->fast_kind_) {
-        case Clocked::FastCommit::Copy:
-          // Single-word registers (the common Reg<T> widths) and the
-          // stream window's head commit with one inline move; wider copy
-          // commits go through memcpy.
-          switch (c->fast_bytes_) {
-            case 1:
-              *static_cast<std::uint8_t*>(c->fast_a_) =
-                  *static_cast<const std::uint8_t*>(c->fast_b_);
-              break;
-            case 4:
-              std::memcpy(c->fast_a_, c->fast_b_, 4);
-              break;
-            case 8:
-              std::memcpy(c->fast_a_, c->fast_b_, 8);
-              break;
-            default:
-              std::memcpy(c->fast_a_, c->fast_b_, c->fast_bytes_);
-              break;
-          }
-          break;
-        case Clocked::FastCommit::Bram: {
-          auto* b = static_cast<Clocked::BramCommitCtl*>(c->fast_a_);
-          if (b->read_pending) {
-            b->rdata = b->store[b->read_addr];
-            b->read_pending = false;
-          }
-          if (b->write_pending) {
-            b->store[b->write_addr] = b->write_value;
-            b->write_pending = false;
-          }
-          break;
-        }
-        case Clocked::FastCommit::None:
-          c->commit();
-          break;
-      }
-    }
-    if (keep != n) commit_set_.resize(keep);
+    end_cycle();
   }
 
   /// Wake every module a channel event queued this cycle, counting a
@@ -459,9 +367,6 @@ class Simulator {
     if (!m->asleep_) m->obs_awake_since_ = cycle_;
   }
 
-  static constexpr std::size_t kTypicalElements = 32;
-
-  friend class Clocked;  // mark_dirty() appends to commit_set_
   friend class Module;   // sleep/sleep_for/wake flip scheduling state
   template <typename T>
   friend class Fifo;     // pushes and pops call note_channel_move()
@@ -485,8 +390,6 @@ class Simulator {
   std::uint64_t next_timer_wake_ = Module::kNoWake;
   bool active_stale_ = true;
   bool force_eval_all_ = false;
-  std::vector<Clocked*> clocked_;
-  std::vector<Clocked*> commit_set_;  // retained across cycles
   Module* wake_queue_ = nullptr;  // pending end-of-cycle wakes (linked list)
   // First cycle the idle fast-forward may skip as far as channels go: two
   // past the latest push or pop (see step_burst).
@@ -506,16 +409,6 @@ class Simulator {
   std::uint64_t wakes_timer_ = 0;      // sleep_for deadline firings
   std::uint64_t wake_transitions_ = 0; // all wake() asleep->awake flips
 };
-
-inline void Clocked::mark_dirty() {
-  wrote_ = true;
-  if (queued_) return;
-  SMACHE_ASSERT_MSG(sim_ != nullptr,
-                    "state element wrote before registering with a "
-                    "Simulator");
-  queued_ = true;
-  sim_->commit_set_.push_back(this);
-}
 
 inline void Module::wake() noexcept {
   if (!asleep_) return;

@@ -1,5 +1,6 @@
 // Unit tests for the on-chip BRAM primitive: BramBank (synchronous read,
-// physical rounding).
+// physical rounding). The testbench owns each bank, so its settle() is the
+// clock edge.
 #include <gtest/gtest.h>
 
 #include "common/assert.hpp"
@@ -13,10 +14,10 @@ TEST(Bram, SynchronousReadLatencyOne) {
   sim::Simulator sim;
   BramBank b(sim, "b", 8, 32, BramBank::Mode::Ram);
   b.write(3, 99);
-  sim.step();
+  b.settle();
   b.read(3);
   EXPECT_EQ(b.rdata(), 0u) << "read data must not appear combinationally";
-  sim.step();
+  b.settle();
   EXPECT_EQ(b.rdata(), 99u);
 }
 
@@ -24,11 +25,11 @@ TEST(Bram, RdataHoldsUntilNextRead) {
   sim::Simulator sim;
   BramBank b(sim, "b", 4, 32, BramBank::Mode::Ram);
   b.write(0, 5);
-  sim.step();
+  b.settle();
   b.read(0);
-  sim.step();
-  sim.step();
-  sim.step();
+  b.settle();
+  b.settle();
+  b.settle();
   EXPECT_EQ(b.rdata(), 5u);
 }
 
@@ -38,7 +39,7 @@ TEST(Bram, ReadDuringWriteReturnsOldData) {
   b.poke(1, 10);
   b.read(1);
   b.write(1, 20);
-  sim.step();
+  b.settle();
   EXPECT_EQ(b.rdata(), 10u) << "read-before-write semantics";
   EXPECT_EQ(b.peek(1), 20u);
 }
@@ -57,7 +58,7 @@ TEST(Bram, WidthMasking) {
   sim::Simulator sim;
   BramBank b(sim, "b", 4, 8, BramBank::Mode::Ram);
   b.write(0, 0x1FF);
-  sim.step();
+  b.settle();
   EXPECT_EQ(b.peek(0), 0xFFu);
 }
 

@@ -1,5 +1,6 @@
-// Unit tests for the simulation substrate: Reg, the owner-settled RegGroup,
-// Fifo, FsmState, ResourceLedger, Simulator scheduling semantics.
+// Unit tests for the simulation substrate: the owner-settled RegGroup (one
+// register and a group), Fifo, FsmState, ResourceLedger, Simulator
+// scheduling semantics.
 #include <gtest/gtest.h>
 
 #include "common/assert.hpp"
@@ -13,37 +14,39 @@
 namespace smache::sim {
 namespace {
 
+// A single register: a RegGroup of one plain value, charged at one path.
+
 TEST(Reg, HoldsUntilCommitted) {
   Simulator sim;
-  Reg<int> r(sim, "r", 7);
+  RegGroup<int> r(sim, "r", 7, 32);
   EXPECT_EQ(r.q(), 7);
-  r.d(42);
+  r.d() = 42;
   EXPECT_EQ(r.q(), 7) << "write must not be visible before the clock edge";
-  sim.step();
+  r.settle();
   EXPECT_EQ(r.q(), 42);
 }
 
 TEST(Reg, HoldsValueWithoutWrite) {
   Simulator sim;
-  Reg<int> r(sim, "r", 5);
-  sim.step();
-  sim.step();
+  RegGroup<int> r(sim, "r", 5, 32);
+  r.settle();
+  r.settle();
   EXPECT_EQ(r.q(), 5);
 }
 
 TEST(Reg, LastWriteInCycleWins) {
   Simulator sim;
-  Reg<int> r(sim, "r", 0);
-  r.d(1);
-  r.d(2);
-  sim.step();
+  RegGroup<int> r(sim, "r", 0, 32);
+  r.d() = 1;
+  r.d() = 2;
+  r.settle();
   EXPECT_EQ(r.q(), 2);
 }
 
 TEST(Reg, ChargesExplicitBits) {
   Simulator sim;
-  Reg<int> a(sim, "grp/a", 0, 7);
-  Reg<bool> b(sim, "grp/b", false);
+  RegGroup<int> a(sim, "grp/a", 0, 7);
+  RegGroup<bool> b(sim, "grp/b", false, 1);
   EXPECT_EQ(sim.ledger().total(ResKind::RegisterBits, "grp"), 8u);
 }
 
@@ -60,7 +63,7 @@ TEST(RegGroup, OwnerReadsCommittedValueUntilSettle) {
   g.d().flag = true;
   EXPECT_EQ(g.q().a, 1) << "a write must not be visible before settle()";
   EXPECT_FALSE(g.q().flag);
-  // The simulator's clock edge does not commit an owner-settled group.
+  // Stepping the simulator does not settle a group: only its owner does.
   sim.step();
   EXPECT_EQ(g.q().a, 1);
   g.settle();
@@ -97,12 +100,6 @@ TEST(RegGroup, ChargesEachFieldItsOwnPath) {
   EXPECT_EQ(sim.ledger().total(ResKind::RegisterBits, "top/ctrl/b"), 12u);
   EXPECT_EQ(sim.ledger().total(ResKind::RegisterBits, "top/ctrl/flag"), 1u);
   EXPECT_EQ(sim.ledger().total(ResKind::RegisterBits, "top"), 20u);
-}
-
-TEST(RegGroup, AddsNoStateElement) {
-  Simulator sim;
-  RegGroup<GroupState> g(sim, GroupState{}, {{"g/a", 32}});
-  EXPECT_EQ(sim.clocked_count(), 0u);
 }
 
 TEST(Fifo, PushVisibleNextCycle) {
@@ -285,7 +282,7 @@ TEST(FsmState, TransitionNextCycle) {
   EXPECT_TRUE(fsm.is(St::A));
   fsm.go(St::B);
   EXPECT_TRUE(fsm.is(St::A));
-  sim.step();
+  fsm.settle();
   EXPECT_TRUE(fsm.is(St::B));
 }
 
@@ -313,14 +310,20 @@ TEST(Ledger, SeparatesKinds) {
   EXPECT_EQ(ledger.total(ResKind::BramBits, "x"), 20u);
 }
 
+/// Counts cycles in a register it owns and settles.
+struct Counter : Module {
+  RegGroup<int>& r;
+  explicit Counter(RegGroup<int>& reg) : r(reg) {}
+  void eval() override {
+    r.d() = r.q() + 1;
+    r.settle();
+  }
+};
+
 TEST(Simulator, RunUntilStopsOnPredicate) {
   Simulator sim;
-  Reg<int> r(sim, "r", 0);
-  struct Counter : Module {
-    Reg<int>& r;
-    explicit Counter(Reg<int>& reg) : r(reg) {}
-    void eval() override { r.d(r.q() + 1); }
-  } counter(r);
+  RegGroup<int> r(sim, "r", 0, 32);
+  Counter counter(r);
   sim.add_module(&counter);
   const auto cycles = sim.run_until([&] { return r.q() == 10; }, 100);
   EXPECT_EQ(cycles, 10u);
@@ -395,21 +398,16 @@ TEST(Fifo, PushSlotAndDropMatchPushAndPop) {
 TEST(Simulator, RunUntilDoneMatchesPerCycleChecking) {
   // With a sound lower bound the burst-stepping driver must return the
   // exact cycle count of the per-cycle-checked loop.
-  struct Counter : Module {
-    Reg<int>& r;
-    explicit Counter(Reg<int>& reg) : r(reg) {}
-    void eval() override { r.d(r.q() + 1); }
-  };
   const int target = 37;
   Simulator per_cycle;
-  Reg<int> r1(per_cycle, "r", 0);
+  RegGroup<int> r1(per_cycle, "r", 0, 32);
   Counter c1(r1);
   per_cycle.add_module(&c1);
   const auto cycles_a =
       per_cycle.run_until([&] { return r1.q() == target; }, 1000);
 
   Simulator batched;
-  Reg<int> r2(batched, "r", 0);
+  RegGroup<int> r2(batched, "r", 0, 32);
   Counter c2(r2);
   batched.add_module(&c2);
   const auto cycles_b = batched.run_until_done(
@@ -425,12 +423,8 @@ TEST(Simulator, RunUntilDoneThrowsOnBudgetExhaustion) {
   // than the remaining budget is clamped, and the throw happens exactly
   // at the budget like the per-cycle loop.
   Simulator sim;
-  Reg<int> r(sim, "r", 0);
-  struct Counter : Module {
-    Reg<int>& r;
-    explicit Counter(Reg<int>& reg) : r(reg) {}
-    void eval() override { r.d(r.q() + 1); }
-  } counter(r);
+  RegGroup<int> r(sim, "r", 0, 32);
+  Counter counter(r);
   sim.add_module(&counter);
   EXPECT_THROW(sim.run_until_done([] { return false; },
                                   [] { return std::uint64_t{1000000}; }, 5),
@@ -438,18 +432,23 @@ TEST(Simulator, RunUntilDoneThrowsOnBudgetExhaustion) {
   EXPECT_EQ(sim.now(), 5u) << "budget overrun: stepped past max_cycles";
 }
 
-TEST(Simulator, ModuleOrderIrrelevantForRegComms) {
-  // Two modules exchange values through registers; whichever order they
-  // are registered in, after a step both see the other's PREVIOUS value.
+TEST(Simulator, ModuleOrderIrrelevantForChannelComms) {
+  // Two modules exchange values over two FIFOs, each echoing the other's
+  // last value plus one; whichever order they are registered in, every
+  // cycle each sees the value the other pushed on the PREVIOUS cycle.
   struct Echo : Module {
-    Reg<int>&mine, &theirs;
-    Echo(Reg<int>& m, Reg<int>& t) : mine(m), theirs(t) {}
-    void eval() override { mine.d(theirs.q() + 1); }
+    Fifo<int>&out, &in;
+    int seen;
+    Echo(Fifo<int>& o, Fifo<int>& i, int init) : out(o), in(i), seen(init) {}
+    void eval() override {
+      if (in.can_pop()) seen = in.pop();
+      out.push(seen + 1);
+    }
   };
   for (int order = 0; order < 2; ++order) {
     Simulator sim;
-    Reg<int> a(sim, "a", 0), b(sim, "b", 100);
-    Echo ea(a, b), eb(b, a);
+    Fifo<int> ab(sim, "ab", 2), ba(sim, "ba", 2);
+    Echo ea(ab, ba, 0), eb(ba, ab, 100);
     if (order == 0) {
       sim.add_module(&ea);
       sim.add_module(&eb);
@@ -458,8 +457,16 @@ TEST(Simulator, ModuleOrderIrrelevantForRegComms) {
       sim.add_module(&ea);
     }
     sim.step();
-    EXPECT_EQ(a.q(), 101);
-    EXPECT_EQ(b.q(), 1);
+    EXPECT_EQ(ea.seen, 0) << "order " << order;
+    EXPECT_EQ(eb.seen, 100) << "order " << order;
+    ASSERT_TRUE(ab.can_pop());
+    EXPECT_EQ(ab.front(), 1);
+    EXPECT_EQ(ba.front(), 101);
+    sim.step();
+    EXPECT_EQ(ea.seen, 101) << "order " << order;
+    EXPECT_EQ(eb.seen, 1) << "order " << order;
+    EXPECT_EQ(ab.front(), 102);
+    EXPECT_EQ(ba.front(), 2);
   }
 }
 

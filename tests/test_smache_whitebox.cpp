@@ -1,7 +1,6 @@
 // White-box tests of the tops' internals: SmacheTop's FSM-1 warm-up
 // contents, FSM-3 write-through capture, double-buffer swap timing and
-// region ping-pong; both tops' DRAM-size rejection and state-element
-// population.
+// region ping-pong; both tops' DRAM-size rejection.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -12,7 +11,6 @@
 #include "rtl/baseline_top.hpp"
 #include "rtl/smache_top.hpp"
 #include "sim/simulator.hpp"
-#include "sweep/workloads.hpp"
 
 namespace smache {
 namespace {
@@ -108,46 +106,6 @@ TEST(SmacheWhitebox, RejectsUndersizedDram) {
                          rtl::KernelSpec::average_int(), dram, 1);
       },
       "BaselineTop");
-}
-
-/// State elements one top adds to the simulator's commit set population
-/// (its DRAM's excluded): `depth` 0 builds BaselineTop, >= 1 SmacheTop at
-/// that depth.
-std::size_t top_state_elements(const char* stencil, const char* boundary,
-                               const char* kernel, std::size_t n,
-                               std::size_t depth) {
-  sim::Simulator sim;
-  const rtl::KernelSpec spec = sweep::make_kernel(kernel);
-  const grid::StencilShape shape = sweep::make_stencil(stencil);
-  const grid::BoundarySpec bc = sweep::make_boundary(boundary);
-  mem::DramModel dram(sim, "dram", 2 * n * n * spec.fields(),
-                      mem::DramConfig::functional());
-  const std::size_t before = sim.clocked_count();
-  if (depth == 0) {
-    const rtl::BaselineTop top(sim, "baseline", n, n, shape, bc, spec, dram,
-                               2);
-    return sim.clocked_count() - before;
-  }
-  const rtl::SmacheTop top(sim, "smache",
-                           model::Planner().plan(n, n, shape, bc), spec,
-                           dram, 2, depth);
-  return sim.clocked_count() - before;
-}
-
-TEST(SmacheWhitebox, OnlyFsmWindowAndBankStateIsOnTheCommitSet) {
-  // Controller and cell-port staging groups, the kernel stages and the
-  // baseline's tuple registers are settled by their owners, and FIFO
-  // channels publish by cycle stamp; what the commit phase still walks is
-  // the FSM register, the stream windows and the static banks' ports.
-  EXPECT_EQ(top_state_elements("vn4", "paper", "average", 11, 1), 8u);
-  EXPECT_EQ(top_state_elements("star5", "open", "fdtd", 12, 1), 2u);
-  EXPECT_EQ(top_state_elements("star5", "open", "average", 12, 2), 3u);
-  EXPECT_EQ(top_state_elements("star5", "open", "average", 12, 0), 1u);
-  EXPECT_EQ(top_state_elements("star5", "open", "fdtd", 12, 0), 1u);
-  // The DRAM model is channels and private eval state only.
-  sim::Simulator sim;
-  const mem::DramModel dram(sim, "dram", 64, mem::DramConfig::functional());
-  EXPECT_EQ(sim.clocked_count(), 0u);
 }
 
 TEST(SmacheWhitebox, ResourceHierarchyHasExpectedGroups) {

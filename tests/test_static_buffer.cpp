@@ -1,6 +1,10 @@
 // Unit tests for static buffers: synchronous reads, double-buffer swap
-// semantics, write-through capture, replica coherence.
+// semantics, write-through capture, replica coherence. The testbench owns
+// the banks, so their settle() is the clock edge.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "model/planner.hpp"
 #include "rtl/static_buffer.hpp"
@@ -24,9 +28,9 @@ TEST(StaticBuffer, ActiveWriteThenReadBack) {
   sim::Simulator sim;
   StaticBufferBank bank(sim, "b", make_spec(0, 8, 1));
   bank.active_write(3, 77);
-  sim.step();
+  bank.settle();
   bank.read(0, 3);
-  sim.step();
+  bank.settle();
   EXPECT_EQ(bank.rdata(0), 77u);
 }
 
@@ -34,17 +38,17 @@ TEST(StaticBuffer, ShadowInvisibleUntilSwap) {
   sim::Simulator sim;
   StaticBufferBank bank(sim, "b", make_spec(0, 4, 1));
   bank.active_write(0, 1);
-  sim.step();
+  bank.settle();
   const word_t captured = 2;
   bank.shadow_write_cell(0, &captured);
-  sim.step();
+  bank.settle();
   bank.read(0, 0);
-  sim.step();
+  bank.settle();
   EXPECT_EQ(bank.rdata(0), 1u) << "shadow data must be hidden before swap";
   bank.swap();
-  sim.step();
+  bank.settle();
   bank.read(0, 0);
-  sim.step();
+  bank.settle();
   EXPECT_EQ(bank.rdata(0), 2u) << "swap exposes the captured copy";
 }
 
@@ -52,26 +56,77 @@ TEST(StaticBuffer, DoubleSwapRestoresOriginal) {
   sim::Simulator sim;
   StaticBufferBank bank(sim, "b", make_spec(0, 4, 1));
   bank.active_write(1, 10);
-  sim.step();
+  bank.settle();
   const word_t captured = 20;
   bank.shadow_write_cell(1, &captured);
-  sim.step();
+  bank.settle();
   bank.swap();
-  sim.step();
+  bank.settle();
   bank.swap();
-  sim.step();
+  bank.settle();
   bank.read(0, 1);
-  sim.step();
+  bank.settle();
   EXPECT_EQ(bank.rdata(0), 10u);
+}
+
+TEST(StaticBuffer, OneSettleLandsReadWriteAndSwapTogether) {
+  // A read of cell i on the active copy, a shadow write of cell i and a
+  // swap, all in one cycle, land at a single settle(): the read latches
+  // the old active word before the copies swap, the write fills the old
+  // shadow, and the swap makes it active. rdata() reads the output
+  // register of the copy active when it is called, so the latched old word
+  // shows again once the copies swap back.
+  for (std::size_t fields : {1u, 3u}) {
+    SCOPED_TRACE("F=" + std::to_string(fields));
+    sim::Simulator sim;
+    constexpr std::size_t kReplicas = 2;
+    StaticBufferBank bank(sim, "b", make_spec(0, 4, kReplicas), fields);
+    const std::size_t i = 2;
+    std::vector<word_t> old_word(fields), captured(fields);
+    for (std::size_t f = 0; f < fields; ++f) {
+      old_word[f] = static_cast<word_t>(10 + f);
+      captured[f] = static_cast<word_t>(20 + f);
+      bank.active_write(i * fields + f, old_word[f]);  // one bank per field
+    }
+    bank.settle();
+
+    for (std::size_t rep = 0; rep < kReplicas; ++rep) bank.read(rep, i);
+    bank.shadow_write_cell(i, captured.data());
+    bank.swap();
+    bank.settle();
+    for (std::size_t f = 0; f < fields; ++f) {
+      EXPECT_EQ(bank.peek_active(i * fields + f), captured[f])
+          << "the write and the swap land at one settle, field " << f;
+      for (std::size_t rep = 0; rep < kReplicas; ++rep)
+        EXPECT_EQ(bank.rdata(rep, f), 0u)
+            << "no read has latched the new active copy yet, replica "
+            << rep << " field " << f;
+    }
+
+    for (std::size_t rep = 0; rep < kReplicas; ++rep) bank.read(rep, i);
+    bank.settle();
+    for (std::size_t rep = 0; rep < kReplicas; ++rep)
+      for (std::size_t f = 0; f < fields; ++f)
+        EXPECT_EQ(bank.rdata(rep, f), captured[f])
+            << "replica " << rep << " field " << f;
+
+    bank.swap();
+    bank.settle();
+    for (std::size_t rep = 0; rep < kReplicas; ++rep)
+      for (std::size_t f = 0; f < fields; ++f)
+        EXPECT_EQ(bank.rdata(rep, f), old_word[f])
+            << "the first settle latched the old active word, replica "
+            << rep << " field " << f;
+  }
 }
 
 TEST(StaticBuffer, ReplicasStayCoherent) {
   sim::Simulator sim;
   StaticBufferBank bank(sim, "b", make_spec(0, 4, 3));
   bank.active_write(2, 5);
-  sim.step();
+  bank.settle();
   for (std::size_t rep = 0; rep < 3; ++rep) bank.read(rep, 2);
-  sim.step();
+  bank.settle();
   for (std::size_t rep = 0; rep < 3; ++rep)
     EXPECT_EQ(bank.rdata(rep), 5u) << "replica " << rep;
 }
@@ -80,12 +135,12 @@ TEST(StaticBuffer, ReplicasAllowConcurrentDistinctReads) {
   sim::Simulator sim;
   StaticBufferBank bank(sim, "b", make_spec(0, 4, 2));
   bank.active_write(0, 100);  // one write port per copy: one write/cycle
-  sim.step();
+  bank.settle();
   bank.active_write(1, 101);
-  sim.step();
+  bank.settle();
   bank.read(0, 0);
   bank.read(1, 1);  // same cycle, different replica: legal
-  sim.step();
+  bank.settle();
   EXPECT_EQ(bank.rdata(0), 100u);
   EXPECT_EQ(bank.rdata(1), 101u);
 }
@@ -109,17 +164,17 @@ TEST(StaticBufferSet, CaptureRoutesByRow) {
   // Capture one-word cells into row 0 and row 10 and an uninteresting row.
   const word_t top = 111, bottom = 222, elsewhere = 999;
   set.capture_output_cell(0, 4, &top);
-  sim.step();
+  set.settle();
   set.capture_output_cell(10, 4, &bottom);
-  sim.step();
+  set.settle();
   set.capture_output_cell(5, 4, &elsewhere);  // no bank holds row 5: no-op
-  sim.step();
+  set.settle();
   set.swap_all();
-  sim.step();
+  set.settle();
   for (std::size_t b = 0; b < set.count(); ++b) {
     set.bank(b).read(0, 4);
   }
-  sim.step();
+  set.settle();
   for (std::size_t b = 0; b < set.count(); ++b) {
     const auto row = set.bank(b).spec().grid_row;
     EXPECT_EQ(set.bank(b).rdata(0), row == 0 ? 111u : 222u);

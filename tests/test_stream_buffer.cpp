@@ -1,6 +1,7 @@
 // Unit tests for the StreamBuffer: the delay-line invariant (every tap age
 // sees the stream delayed by exactly that many shifts), the hybrid
-// register/BRAM equivalence, stall robustness, and the ledger charges.
+// register/BRAM equivalence, stall robustness, and the ledger charges. The
+// testbench owns each window, so its settle() is the clock edge.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -34,7 +35,7 @@ TEST(StreamBuffer, DelayLineInvariantRegisterOnly) {
   const std::size_t total = 3 * plan.window_len();
   for (std::size_t n = 1; n <= total; ++n) {
     sb.shift(static_cast<word_t>(1000 + n - 1));
-    sim.step();
+    sb.settle();
     for (std::size_t age = 1; age <= plan.window_len(); ++age) {
       if (n >= age) {
         EXPECT_EQ(sb.tap(age), 1000 + n - age)
@@ -51,7 +52,7 @@ TEST(StreamBuffer, DelayLineInvariantHybridTaps) {
   const std::size_t total = 4 * plan.window_len();
   for (std::size_t n = 1; n <= total; ++n) {
     sb.shift(static_cast<word_t>(5000 + n - 1));
-    sim.step();
+    sb.settle();
     // From the first shift: ages no shift has reached yet read 0.
     for (std::size_t age : plan.tap_ages())
       EXPECT_EQ(sb.tap(age), n >= age ? 5000 + n - age : 0)
@@ -74,12 +75,12 @@ void check_delay_line(const model::BufferPlan& plan, std::size_t fields,
   const std::size_t shifts = 3 * plan.window_len();
   while (fed.size() < shifts * fields) {
     if (rng.chance(1, 3)) {
-      sim.step();  // stall cycle: no shift
+      sb.settle();  // stall cycle: no shift
     } else {
       for (word_t& w : cell) w = static_cast<word_t>(rng.next_u64());
       sb.shift_cell(cell.data());
       fed.insert(fed.end(), cell.begin(), cell.end());
-      sim.step();
+      sb.settle();
     }
     const std::size_t n = fed.size() / fields;
     for (std::size_t age : plan.reg_ages()) {
@@ -122,7 +123,8 @@ TEST(StreamBuffer, HybridMatchesRegisterOnlyAtEveryTap) {
     const auto v = static_cast<word_t>(rng.next_u64());
     h.shift(v);
     r.shift(v);
-    sim.step();
+    h.settle();
+    r.settle();
     if (n > static_cast<int>(plan_h.window_len())) {
       for (std::size_t age : plan_h.tap_ages())
         EXPECT_EQ(h.tap(age), r.tap(age)) << "age " << age;
@@ -141,37 +143,19 @@ TEST(StreamBuffer, StallsPreserveContents) {
   // unaffected by when the stalls happen (BRAM rdata holds).
   while (n < 200) {
     if (rng.chance(1, 3)) {
-      sim.step();  // stall cycle: no shift
+      sb.settle();  // stall cycle: no shift
       continue;
     }
     const auto v = static_cast<word_t>(rng.next_u64() & 0xFFFF);
     fed.push_back(v);
     sb.shift(v);
-    sim.step();
+    sb.settle();
     ++n;
     if (n >= plan.window_len()) {
       for (std::size_t age : plan.tap_ages())
         ASSERT_EQ(sb.tap(age), fed[n - age]) << "n=" << n << " age=" << age;
     }
   }
-}
-
-TEST(StreamBuffer, OneStateElementPerWindow) {
-  // However the plan splits the window between registers and BRAM, and at
-  // any cell width, the simulation holds it as one ring behind one head:
-  // one state element, committed as one head copy per shift.
-  for (model::StreamImpl impl :
-       {model::StreamImpl::RegisterOnly, model::StreamImpl::Hybrid})
-    for (std::size_t fields : {1u, 3u}) {
-      SCOPED_TRACE("hybrid=" +
-                   std::to_string(impl == model::StreamImpl::Hybrid) +
-                   " F=" + std::to_string(fields));
-      sim::Simulator sim;
-      const auto plan = make_plan(16, 16, impl);
-      const std::size_t before = sim.clocked_count();
-      StreamBuffer sb(sim, "sb", plan, fields);
-      EXPECT_EQ(sim.clocked_count(), before + 1);
-    }
 }
 
 TEST(StreamBuffer, TapOnBramAgeRejected) {
