@@ -240,10 +240,10 @@ class Simulator {
   /// jump — provably nothing can change during them, so this is pure
   /// wall-clock savings with identical cycle numbers. The channel
   /// condition matters only for FIFOs without a registered producer or
-  /// consumer (a notified module is awake on the next cycle anyway): the
-  /// cycle of such a push or pop and the one after are stepped, not
-  /// skipped, which the idle/fast-forward split
-  /// (sched/cycles/{idle,fastforward}) is pinned to.
+  /// consumer (a notified module is awake on the next cycle anyway), so
+  /// only their pushes and pops set it: the cycle of such a push or pop
+  /// and the one after are stepped, not skipped, which the idle/
+  /// fast-forward split (sched/cycles/{idle,fastforward}) is pinned to.
   void step_burst(std::uint64_t n) {
     for (std::uint64_t k = 0; k < n; ++k) {
       if (next_timer_wake_ <= cycle_ || active_stale_) refresh_schedule();
@@ -373,10 +373,15 @@ class Simulator {
 
   /// A FIFO was pushed or popped, notifying `m` (its consumer or producer,
   /// or null): queue it for the end-of-cycle wake if asleep, else stamp it
-  /// so that a sleep later in this cycle queues it (Module::sleep).
+  /// so that a sleep later in this cycle queues it (Module::sleep). Either
+  /// way `m` is awake on the next cycle, which keeps that cycle from
+  /// fast-forwarding, so only a move that notifies nobody sets the
+  /// channel hold (see step_burst).
   void note_channel_move(Module* m) noexcept {
-    channels_quiet_from_ = cycle_ + 2;
-    if (m == nullptr) return;
+    if (m == nullptr) {
+      channels_quiet_from_ = cycle_ + 2;
+      return;
+    }
     if (m->asleep_)
       queue_wake(m);
     else
@@ -392,7 +397,7 @@ class Simulator {
   bool force_eval_all_ = false;
   Module* wake_queue_ = nullptr;  // pending end-of-cycle wakes (linked list)
   // First cycle the idle fast-forward may skip as far as channels go: two
-  // past the latest push or pop (see step_burst).
+  // past the latest push or pop that notified no module (see step_burst).
   std::uint64_t channels_quiet_from_ = 0;
   ResourceLedger ledger_;
 

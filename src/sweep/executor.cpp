@@ -3,14 +3,18 @@
 #include <chrono>
 #include <cstring>
 #include <exception>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <type_traits>
+#include <utility>
 
 #include "common/assert.hpp"
 #include "common/log.hpp"
 #include "common/parallel.hpp"
 #include "sweep/faults.hpp"
+#include "sweep/groups.hpp"
 #include "sweep/store.hpp"
 #include "sweep/workloads.hpp"
 
@@ -38,8 +42,43 @@ void mix_str(std::uint64_t& h, std::string_view s) noexcept {
   }
 }
 
+/// One reference group's input and golden (sweep/groups.hpp), each built
+/// by the first of the group's scenarios that needs it and read by all of
+/// them. A build runs under its slot's lock, so a worker that needs the
+/// grid meanwhile waits for it; a build that throws leaves the slot empty,
+/// and the next scenario that needs the grid tries again.
+class GroupGrids {
+ public:
+  const grid::Grid<word_t>& input(const Scenario& s) {
+    return input_.get([&] {
+      return make_input(s.input, s.problem.height, s.problem.width,
+                        s.problem.depth, s.seed);
+    });
+  }
+
+  const grid::Grid<word_t>& golden(const Scenario& s,
+                                   const grid::Grid<word_t>& input) {
+    return golden_.get([&] { return reference_run(s.problem, input); });
+  }
+
+ private:
+  struct Slot {
+    template <typename Make>
+    const grid::Grid<word_t>& get(Make&& make) {
+      const std::lock_guard<std::mutex> lock(mu);
+      if (!grid) grid.emplace(make());
+      return *grid;
+    }
+    std::mutex mu;
+    std::optional<grid::Grid<word_t>> grid;
+  };
+
+  Slot input_;
+  Slot golden_;
+};
+
 void run_one(const Scenario& scenario, const ExecutorOptions& options,
-             ScenarioResult& out) {
+             GroupGrids& grids, ScenarioResult& out) {
   out.scenario = scenario;
   const auto t0 = std::chrono::steady_clock::now();
   try {
@@ -47,15 +86,12 @@ void run_one(const Scenario& scenario, const ExecutorOptions& options,
     if (scenario.mode == Mode::ElaborateOnly) {
       out.run = engine.elaborate_only(scenario.problem);
     } else {
-      const grid::Grid<word_t> init =
-          make_input(scenario.input, scenario.problem.height,
-                     scenario.problem.width, scenario.problem.depth,
-                     scenario.seed);
+      const grid::Grid<word_t>& init = grids.input(scenario);
       // run_tiled is the general entry point: a 1x1 mesh runs the untiled
       // engine, depth > 1 fuses that many time steps per DRAM pass. The
       // reference run below is depth- and tiling-independent (same
       // problem.steps), so verification holds across fused passes and
-      // tile meshes.
+      // tile meshes — and one golden serves the whole group.
       TilingSpec tiling;
       tiling.tiles_r = scenario.tiles.height;
       tiling.tiles_c = scenario.tiles.width;
@@ -65,8 +101,7 @@ void run_one(const Scenario& scenario, const ExecutorOptions& options,
       out.run = engine.run_tiled(scenario.problem, init, tiling);
       out.output_hash = hash_grid(*out.run.output);
       if (options.verify_reference) {
-        const grid::Grid<word_t> golden =
-            reference_run(scenario.problem, init);
+        const grid::Grid<word_t>& golden = grids.golden(scenario, init);
         out.reference_checked = true;
         out.reference_match = golden == *out.run.output;
       }
@@ -263,8 +298,39 @@ std::vector<ScenarioResult> SweepExecutor::run(
     options_.progress(prog);
   };
 
-  parallel_for_index(pending.size(), options_.threads, [&](std::size_t j) {
-    const std::size_t i = pending[j];
+  // Group-major run order: a group's scenarios are handed out one after
+  // another, so its grids exist from when the first starts until the last
+  // finishes, and only for the groups some worker is on — memory does not
+  // grow with the sweep. Results still land in index slots, so the order
+  // shows only in the journal and in wall_ms.
+  std::vector<std::pair<std::size_t, std::size_t>> order;  // (i, group)
+  std::vector<std::size_t> remaining;  // unfinished scenarios per group
+  {
+    const auto groups = reference_groups(scenarios, pending);
+    order.reserve(pending.size());
+    remaining.reserve(groups.size());
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      remaining.push_back(groups[g].size());
+      for (const std::size_t i : groups[g]) order.emplace_back(i, g);
+    }
+  }
+  std::mutex live_mu;  // guards live and remaining
+  std::vector<std::unique_ptr<GroupGrids>> live(remaining.size());
+  const auto open_group = [&](std::size_t g) -> GroupGrids& {
+    const std::lock_guard<std::mutex> lock(live_mu);
+    if (!live[g]) live[g] = std::make_unique<GroupGrids>();
+    return *live[g];
+  };
+  // Counts one scenario of group g as finished (or skipped); the last one
+  // frees the group's grids, outside the lock.
+  const auto close_group = [&](std::size_t g) {
+    std::unique_ptr<GroupGrids> done;
+    const std::lock_guard<std::mutex> lock(live_mu);
+    if (--remaining[g] == 0) done = std::move(live[g]);
+  };
+
+  parallel_for_index(order.size(), options_.threads, [&](std::size_t j) {
+    const auto [i, g] = order[j];
     ScenarioResult& out = results[i];
     if (options_.stop != nullptr &&
         options_.stop->load(std::memory_order_relaxed)) {
@@ -272,6 +338,7 @@ std::vector<ScenarioResult> SweepExecutor::run(
       out.skipped = true;
       out.ok = false;
       out.error = "skipped: stop requested before execution";
+      close_group(g);
       note_progress(out);
       return;
     }
@@ -286,7 +353,8 @@ std::vector<ScenarioResult> SweepExecutor::run(
     if (options_.trace && scenario.tiles.height == 1 &&
         scenario.tiles.width == 1 && scenario.tiles.depth == 1)
       scenario.engine.trace = true;
-    run_one(scenario, options_, out);
+    run_one(scenario, options_, open_group(g), out);
+    close_group(g);
     note_progress(out);
     // Journal the finished result — deterministic failures included (they
     // are results too, and resume must reproduce them byte-for-byte).

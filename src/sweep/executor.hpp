@@ -1,6 +1,8 @@
 // SweepExecutor — runs the scenarios of a SweepSpec on a worker pool, one
 // independent Engine instance per scenario (the Engine shares no mutable
-// state between instances, so scenarios parallelise perfectly). Results
+// state between instances, so scenarios parallelise perfectly). Scenarios
+// with equal reference inputs (sweep/groups.hpp) run one after another and
+// share one input grid and one golden, built once per group. Results
 // land in index-addressed slots: collation order is the spec's cartesian
 // order regardless of which worker finished first, and a run with N
 // threads is bit-identical to the serial run — digest() makes that claim
@@ -45,8 +47,9 @@ struct ExecutorOptions {
   /// nesting scenario x tile parallelism is safe; results are
   /// bit-identical for any combination.
   std::size_t tile_threads = 1;
-  /// Also run the golden software reference for every simulated scenario
-  /// and record whether the hardware output matched bit-for-bit.
+  /// Also check every simulated scenario against the golden software
+  /// reference (one reference_run per reference group) and record whether
+  /// the hardware output matched bit-for-bit.
   bool verify_reference = false;
   /// Keep each scenario's full output grid and buffer plan in its
   /// RunResult. Off by default: a sweep holds EVERY result until
@@ -124,8 +127,13 @@ struct ScenarioResult {
                                     // (not executed); excluded from digest
                                     // so warm == cold byte-for-byte
   bool skipped = false;             // stop flag observed before execution
-  double wall_ms = 0.0;             // wall-clock measurement; NEVER part of
-                                    // digests or deterministic reports
+  /// Wall-clock time of this scenario's run, NEVER part of digests or
+  /// deterministic reports. Scenarios with equal reference inputs share
+  /// one input grid and one golden (sweep/groups.hpp), so the scenario
+  /// that builds them — the group's first, or the first to need the
+  /// golden — carries their cost, and a scenario that waits for another
+  /// worker's build counts the wait.
+  double wall_ms = 0.0;
 };
 
 class SweepExecutor {

@@ -449,6 +449,34 @@ TEST(Scheduler, SameCycleChannelEventCutsATimedSleepShort) {
   }
 }
 
+TEST(Scheduler, RegisteredChannelMovesNeverStepAnIdleCycle) {
+  // Every push and pop below notifies a registered module, which is awake
+  // on the next cycle anyway: queued if asleep, stamped if awake. So no
+  // cycle is stepped with every module asleep. Each one either evaluates a
+  // module or is fast-forwarded, in either registration order.
+  for (const Order order : {Order::ProducerFirst, Order::ConsumerFirst}) {
+    const char* label =
+        order == Order::ProducerFirst ? "producer first" : "consumer first";
+    const PushRun push = run_scripted_pushes(order);
+    EXPECT_EQ(push.sched.at("sched/cycles/total"), 40u) << label;
+    EXPECT_EQ(push.sched.at("sched/cycles/eval"), 13u) << label;
+    EXPECT_EQ(push.sched.at("sched/cycles/idle"), 0u) << label;
+    EXPECT_EQ(push.sched.at("sched/cycles/fastforward"), 27u) << label;
+    EXPECT_EQ(push.sched.at("sched/wakes/channel"), 10u) << label;
+    EXPECT_EQ(push.sched.at("sched/wakes/timer"), 4u) << label;
+    EXPECT_EQ(push.sched.at("sched/wakes/explicit"), 0u) << label;
+
+    const PopRun pop = run_scripted_pops(order);
+    EXPECT_EQ(pop.sched.at("sched/cycles/total"), 30u) << label;
+    EXPECT_EQ(pop.sched.at("sched/cycles/eval"), 11u) << label;
+    EXPECT_EQ(pop.sched.at("sched/cycles/idle"), 0u) << label;
+    EXPECT_EQ(pop.sched.at("sched/cycles/fastforward"), 19u) << label;
+    EXPECT_EQ(pop.sched.at("sched/wakes/channel"), 9u) << label;
+    EXPECT_EQ(pop.sched.at("sched/wakes/timer"), 2u) << label;
+    EXPECT_EQ(pop.sched.at("sched/wakes/explicit"), 0u) << label;
+  }
+}
+
 TEST(Scheduler, TestbenchChannelMoveHoldsTwoIdleCyclesBeforeFastForward) {
   // A FIFO with no producer or consumer wakes nobody, but its push or pop
   // keeps the cycle it happened on and the one after as stepped idle

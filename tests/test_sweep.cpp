@@ -8,7 +8,10 @@
 //     input with contract_error instead of guessing;
 //   * concurrency determinism — an N-thread sweep over mixed workloads is
 //     BYTE-identical (digest, JSON, CSV) to the same sweep at threads=1,
-//     including when scenarios fail; this is the executor's core claim.
+//     including when scenarios fail; this is the executor's core claim;
+//   * reference groups — scenarios with equal reference inputs share one
+//     input and one golden, and a grouped run equals each scenario run
+//     alone.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,6 +31,7 @@
 #include "sweep/emit.hpp"
 #include "sweep/executor.hpp"
 #include "sweep/faults.hpp"
+#include "sweep/groups.hpp"
 #include "sweep/spec.hpp"
 #include "sweep/specio.hpp"
 #include "sweep/store.hpp"
@@ -775,6 +779,271 @@ TEST(SweepExecutor, ElaborationSweepRunsThreaded) {
     ASSERT_TRUE(r.ok) << r.error;
     EXPECT_EQ(r.run.cycles, 0u);
     EXPECT_GT(r.run.resources.r_total, 0u);
+  }
+}
+
+// ---- reference groups ----------------------------------------------------
+
+std::vector<std::size_t> all_positions(std::size_t n) {
+  std::vector<std::size_t> positions(n);
+  for (std::size_t i = 0; i < n; ++i) positions[i] = i;
+  return positions;
+}
+
+Scenario group_base() {
+  SweepSpec spec;
+  spec.grids = {{8, 8}};
+  spec.steps = {2};
+  spec.boundaries = {"open"};
+  return spec.scenario_at(0);
+}
+
+TEST(ReferenceGroups, DesignAxesShareAGroup) {
+  const Scenario base = group_base();
+  std::vector<Scenario> list = {base};
+  const auto add = [&](const char* what, auto&& edit) {
+    Scenario s = base;
+    edit(s);
+    EXPECT_TRUE(same_reference(base, s)) << what;
+    list.push_back(s);
+  };
+  add("arch", [](Scenario& s) { s.engine.arch = Architecture::Baseline; });
+  add("impl", [](Scenario& s) {
+    s.engine.stream_impl = model::StreamImpl::RegisterOnly;
+  });
+  add("threshold", [](Scenario& s) { s.engine.bram_segment_threshold = 16; });
+  add("dram", [](Scenario& s) {
+    s.dram = "ddr";
+    s.engine.dram = make_dram("ddr");
+  });
+  add("depth", [](Scenario& s) { s.depth = 2; });
+  add("tiles", [](Scenario& s) { s.tiles = {2, 2}; });
+  // Equal offsets under another name, and another label: the group key is
+  // the reference inputs themselves, not the text that names them.
+  add("stencil name", [](Scenario& s) {
+    s.problem.shape =
+        grid::StencilShape::custom("renamed", s.problem.shape.offsets());
+    s.stencil = "renamed";
+    s.label += "/renamed";
+  });
+  const auto groups = reference_groups(list, all_positions(list.size()));
+  ASSERT_EQ(groups.size(), 1u);
+  EXPECT_EQ(groups[0], all_positions(list.size()));
+}
+
+TEST(ReferenceGroups, WorkloadAxesNeverShareAGroup) {
+  const Scenario base = group_base();
+  const auto differs = [&](const char* what, auto&& edit) {
+    Scenario s = base;
+    edit(s);
+    EXPECT_FALSE(same_reference(base, s)) << what;
+    EXPECT_FALSE(same_reference(s, base)) << what;
+    const auto groups = reference_groups({base, s}, {0, 1});
+    ASSERT_EQ(groups.size(), 2u) << what;
+    EXPECT_EQ(groups[0], std::vector<std::size_t>{0}) << what;
+    EXPECT_EQ(groups[1], std::vector<std::size_t>{1}) << what;
+  };
+  differs("height", [](Scenario& s) { s.problem.height = 9; });
+  differs("width", [](Scenario& s) { s.problem.width = 9; });
+  differs("depth", [](Scenario& s) { s.problem.depth = 2; });
+  differs("steps", [](Scenario& s) { s.problem.steps = 4; });
+  differs("offsets", [](Scenario& s) {
+    s.problem.shape = make_stencil("plus5");
+  });
+  differs("offset order", [](Scenario& s) {
+    std::vector<grid::Offset2> offsets = s.problem.shape.offsets();
+    std::reverse(offsets.begin(), offsets.end());
+    s.problem.shape = grid::StencilShape::custom(s.stencil, offsets);
+  });
+  differs("boundary", [](Scenario& s) {
+    s.problem.bc = make_boundary("mirror");
+  });
+  differs("halo constant", [](Scenario& s) {
+    s.problem.bc = grid::BoundarySpec{grid::AxisBoundary::constant_halo(1),
+                                      grid::AxisBoundary::open()};
+  });
+  differs("kernel", [](Scenario& s) { s.problem.kernel = make_kernel("sum"); });
+  differs("kernel value type", [](Scenario& s) {
+    s.problem.kernel = rtl::KernelSpec::average_float();
+  });
+  differs("input", [](Scenario& s) { s.input = "gradient"; });
+  differs("seed", [](Scenario& s) { ++s.seed; });
+
+  // Kernel coefficients compare bit for bit.
+  Scenario zero = base;
+  zero.problem.kernel = rtl::KernelSpec::diffusion(0.0f);
+  Scenario other = zero;
+  other.problem.kernel = rtl::KernelSpec::diffusion(0.25f);
+  EXPECT_FALSE(same_reference(zero, other));
+  other.problem.kernel = rtl::KernelSpec::upwind(0.0f, 0.25f);
+  EXPECT_FALSE(same_reference(zero, other));
+  other.problem.kernel = rtl::KernelSpec::diffusion(-0.0f);
+  EXPECT_FALSE(same_reference(zero, other));
+  other.problem.kernel = rtl::KernelSpec::diffusion(0.0f);
+  EXPECT_TRUE(same_reference(zero, other));
+}
+
+TEST(ReferenceGroups, PerfbenchShapesPinTheOracleCallsPerPass) {
+  // The benchmark's sweep workloads (perfbench/src/workloads.cpp): the
+  // group count is the number of make_input and reference_run calls per
+  // cold pass.
+  std::vector<Scenario> feature_matrix;
+  struct Family {
+    GridDim grid;
+    const char* stencil;
+    const char* kernel;
+    const char* input;
+  };
+  for (const Family& f : {Family{{128, 128}, "star5", "jacobi", "jacobi-init"},
+                          Family{{128, 128}, "star5", "fdtd", "fdtd-cavity"},
+                          Family{{48, 48, 4}, "star7", "jacobi", "jacobi-init"},
+                          Family{{48, 48, 4}, "star7", "fdtd", "fdtd-cavity"}}) {
+    SweepSpec s;
+    s.archs = {Architecture::Smache, Architecture::Baseline};
+    s.grids = {f.grid};
+    s.steps = {4};
+    s.depths = {1, 2};
+    s.tiles = {{1, 1}, {2, 2}};
+    s.stencils = {f.stencil};
+    s.boundaries = {"open"};
+    s.kernels = {f.kernel};
+    s.inputs = {f.input};
+    for (Scenario& sc : s.expand()) feature_matrix.push_back(std::move(sc));
+  }
+  ASSERT_EQ(feature_matrix.size(), 24u);
+  const auto fm = reference_groups(feature_matrix,
+                                   all_positions(feature_matrix.size()));
+  ASSERT_EQ(fm.size(), 4u);
+  for (std::size_t g = 0; g < fm.size(); ++g) {
+    // Each family is its own spec: its 6 scenarios are one group, in
+    // index order.
+    ASSERT_EQ(fm[g].size(), 6u);
+    for (std::size_t k = 0; k < 6; ++k) EXPECT_EQ(fm[g][k], g * 6 + k);
+  }
+
+  SweepSpec many_small;
+  many_small.grids = {{11, 11}, {16, 16}};
+  many_small.steps = {2};
+  many_small.drams = {"functional", "ddr"};
+  many_small.stencils = {"vn4",    "plus5", "moore9", "diamond13",
+                         "cross3", "asym5", "upwind3"};
+  many_small.boundaries = {"paper",  "open",    "circular", "mirror",
+                           "island", "striped", "quadrant"};
+  many_small.kernels = {"average", "sum", "max"};
+  many_small.inputs = {"random", "gradient", "checker", "impulse"};
+  const std::vector<Scenario> ms = many_small.expand();
+  ASSERT_EQ(ms.size(), 2352u);
+  const auto ms_groups = reference_groups(ms, all_positions(ms.size()));
+  ASSERT_EQ(ms_groups.size(), 1176u);
+  for (std::size_t g = 0; g < ms_groups.size(); ++g) {
+    const auto& group = ms_groups[g];
+    ASSERT_EQ(group.size(), 2u);
+    EXPECT_NE(ms[group[0]].dram, ms[group[1]].dram);
+    EXPECT_LT(group[0], group[1]);
+    // Groups come in the order of their first member.
+    if (g > 0) {
+      EXPECT_GT(group[0], ms_groups[g - 1][0]);
+    }
+  }
+
+  // Only pending positions are grouped: a store-served half leaves the
+  // other DRAM's scenarios, one per group.
+  std::vector<std::size_t> functional_only;
+  for (std::size_t i = 0; i < ms.size(); ++i)
+    if (ms[i].dram == "functional") functional_only.push_back(i);
+  const auto half = reference_groups(ms, functional_only);
+  ASSERT_EQ(half.size(), 1176u);
+  for (const auto& group : half) EXPECT_EQ(group.size(), 1u);
+}
+
+TEST(ReferenceGroups, ElaborateOnlyScenariosBuildNoGrid) {
+  // An input family no registry entry has: building the input throws.
+  Scenario sim = group_base();
+  sim.input = "no-such-input";
+  Scenario elab = sim;
+  elab.mode = Mode::ElaborateOnly;
+  Scenario elab_baseline = elab;
+  elab_baseline.engine.arch = Architecture::Baseline;
+  EXPECT_FALSE(same_reference(elab, elab));
+  const auto elab_groups = reference_groups({elab, elab_baseline}, {0, 1});
+  EXPECT_EQ(elab_groups.size(), 2u);
+
+  Scenario sim_ddr = sim;
+  sim_ddr.dram = "ddr";
+  sim_ddr.engine.dram = make_dram("ddr");
+  const std::vector<Scenario> list = {elab, sim, elab_baseline, sim_ddr};
+  for (const std::size_t threads : {1u, 4u}) {
+    ExecutorOptions opts;
+    opts.threads = threads;
+    opts.verify_reference = true;
+    const auto results = SweepExecutor(opts).run(list);
+    ASSERT_EQ(results.size(), 4u);
+    // Elaboration never asks for the input...
+    EXPECT_TRUE(results[0].ok) << results[0].error;
+    EXPECT_TRUE(results[2].ok) << results[2].error;
+    EXPECT_FALSE(results[0].reference_checked);
+    // ...while both simulated scenarios of the group do: the failed build
+    // is each one's own captured error, the second trying again.
+    for (const std::size_t i : {1u, 3u}) {
+      EXPECT_FALSE(results[i].ok);
+      EXPECT_NE(results[i].error.find("no-such-input"), std::string::npos)
+          << results[i].error;
+    }
+    EXPECT_EQ(results[1].error, results[3].error);
+  }
+}
+
+TEST(SweepExecutor, GroupedRunsEqualScenariosRunAlone) {
+  // 4 reference groups (2 inputs x 2 boundaries) of 12 design points each.
+  // Circular at depth 2 is rejected untiled, so the circular groups mix
+  // failures with verified runs.
+  SweepSpec spec;
+  spec.archs = {Architecture::Smache, Architecture::Baseline};
+  spec.grids = {{8, 8}};
+  spec.steps = {2};
+  spec.depths = {1, 2};
+  spec.tiles = {{1, 1}, {2, 2}};
+  spec.drams = {"functional", "ddr"};
+  spec.inputs = {"random", "gradient"};
+  spec.boundaries = {"open", "circular"};
+  const std::vector<Scenario> scenarios = spec.expand();
+  ASSERT_EQ(scenarios.size(), 48u);
+  ASSERT_EQ(reference_groups(scenarios, all_positions(scenarios.size())).size(),
+            4u);
+
+  ExecutorOptions alone_opts;
+  alone_opts.verify_reference = true;
+  std::vector<ScenarioResult> alone;
+  for (const Scenario& s : scenarios) {
+    auto one = SweepExecutor(alone_opts).run(std::vector<Scenario>{s});
+    ASSERT_EQ(one.size(), 1u);
+    alone.push_back(std::move(one[0]));
+  }
+  std::size_t failed = 0, matched = 0;
+  for (const ScenarioResult& r : alone) {
+    failed += r.ok ? 0 : 1;
+    matched += r.reference_match ? 1 : 0;
+  }
+  EXPECT_GT(failed, 0u);
+  EXPECT_EQ(matched, alone.size() - failed);
+
+  for (const std::size_t threads : {1u, 4u}) {
+    ExecutorOptions opts = alone_opts;
+    opts.threads = threads;
+    const auto grouped = SweepExecutor(opts).run(scenarios);
+    ASSERT_EQ(grouped.size(), alone.size());
+    EXPECT_EQ(SweepExecutor::digest(grouped), SweepExecutor::digest(alone))
+        << threads << " threads";
+    for (std::size_t i = 0; i < alone.size(); ++i) {
+      const std::string& label = alone[i].scenario.label;
+      EXPECT_EQ(grouped[i].scenario.label, label);
+      EXPECT_EQ(grouped[i].ok, alone[i].ok) << label;
+      EXPECT_EQ(grouped[i].error, alone[i].error) << label;
+      EXPECT_EQ(grouped[i].reference_checked, alone[i].reference_checked)
+          << label;
+      EXPECT_EQ(grouped[i].reference_match, alone[i].reference_match)
+          << label;
+    }
   }
 }
 
