@@ -149,7 +149,6 @@ RunResult Engine::execute(const ProblemSpec& problem,
       problem.height, problem.width, problem.depth, layout.fields);
 
   sim::Simulator sim;
-  sim.set_force_eval_all(options_.force_eval_all);
   // Observability is switched on before any module registers so span lanes
   // and metric slots appear in construction order — deterministic output.
   if (options_.profile) sim.enable_profiling();

@@ -50,20 +50,15 @@ struct EngineOptions {
   /// invocation gets its own deadline, so a tiled scenario bounds every
   /// tile-pass rather than the whole scenario.
   std::uint32_t wall_timeout_ms = 0;
-  /// Disable activity-gated eval scheduling: every module is evaluated on
-  /// every cycle. Results are bit-identical either way (the equivalence
-  /// property suite enforces it); force mode exists for that cross-check
-  /// and for debugging a suspect quiescence declaration.
-  bool force_eval_all = false;
-  /// Collect the cycle-attribution profile and stall/occupancy metrics
-  /// into RunResult::metrics. Profiling does NOT disable activity gating
-  /// — it classifies the gated schedule itself — so the simulated results
-  /// stay bit-identical to an unprofiled run.
+  /// Collect the cycle attribution (sched/*), the stall counters (each
+  /// counts the cycles its blocker held) and the channel high-water marks
+  /// into RunResult::metrics. Observing changes no cycle, so the simulated
+  /// results stay bit-identical to an unprofiled run.
   bool profile = false;
-  /// Record module-activity and DRAM-transaction spans and export them as
-  /// Chrome trace-event JSON in RunResult::trace_json (load in
-  /// chrome://tracing / Perfetto). Also leaves results bit-identical.
-  /// Per-simulator, so tiled runs reject it.
+  /// Record DRAM read-transaction spans and export them as Chrome
+  /// trace-event JSON in RunResult::trace_json (load in chrome://tracing /
+  /// Perfetto). Also leaves results bit-identical. Per-simulator, so tiled
+  /// runs reject it.
   bool trace = false;
 
   static EngineOptions smache(model::StreamImpl impl =
@@ -132,8 +127,8 @@ struct RunResult {
   bool timed_out = false;
 
   /// Deterministic metric snapshot (EngineOptions::profile): cycle
-  /// attribution per module, wake reasons, stall counters, FIFO high-water
-  /// marks — sorted by path, zero-valued entries included. Tiled runs fold
+  /// attribution per module, stall counters, FIFO high-water marks —
+  /// sorted by path, zero-valued entries included. Tiled runs fold
   /// per-tile snapshots (counters sum, watermarks max). Empty when
   /// profiling is off.
   std::vector<obs::MetricSample> metrics;

@@ -23,12 +23,6 @@ DramModel::DramModel(sim::Simulator& sim, const std::string& path,
   SMACHE_REQUIRE_MSG(config.read_latency >= 1,
                      "read_latency must be >= 1 (transit stage count)");
   set_obs_name(path);
-  // Activity gating: while inert the model sleeps; a push on either
-  // request channel is new work, and a pop on read_data is what releases a
-  // full-channel back-pressure freeze.
-  read_req_.set_consumer(this);
-  write_req_.set_consumer(this);
-  read_data_.set_producer(this);
   sim.add_module(this);
 }
 
@@ -48,14 +42,10 @@ void DramModel::eval() {
   // Inert: nothing queued, nothing in flight, no stall burst draining. A
   // full eval would only rotate bubbles round the transit line (no word is
   // in flight), which is unobservable, so freezing the line while inert
-  // is exact — and so is sleeping until a request channel takes a push.
-  // (An injected stall burst keeps the model awake: it counts
+  // is exact. (An injected stall burst is not inert: it counts
   // injected_stall_cycles per cycle, which is observable through
   // stats().)
-  if (stall_left_ == 0 && idle()) {
-    sleep();
-    return;
-  }
+  if (stall_left_ == 0 && idle()) return;
 
   // ---- write engine (posted, one per cycle) ----
   bool wrote = false;
@@ -79,22 +69,16 @@ void DramModel::eval() {
   std::uint64_t& head = transit_[transit_head_];
   if ((head & kFetched) != 0) {
     if (!read_data_.can_push()) {
+      // Back-pressure from the design: the whole read pipe holds.
       mreg_->count(s_backpressure_);
-      // Back-pressure from the design: the whole read pipe holds. With no
-      // posted writes left to drain this state is fully frozen — every
-      // future cycle is a no-op until the design makes a read_data pop
-      // (space) or a write_req push (new drain work), both of which wake
-      // us.
-      if (write_req_.empty()) sleep();
       return;
     }
     // Delayed-completion fault: the head word was fetched on time but
     // completes late. The decision is taken once per head word (however
     // many cycles it then waits); while held, the whole in-order read pipe
     // holds — exactly like design back-pressure, so correctness cannot
-    // depend on it. The model stays awake throughout: inflight_words_ > 0
-    // keeps idle() false, and the per-cycle injected_delay_cycles count is
-    // observable through stats().
+    // depend on it. inflight_words_ > 0 keeps idle() false throughout, so
+    // injected_delay_cycles counts every held cycle.
     if (!head_delay_decided_ && config_.delay_every != 0) {
       head_delay_decided_ = true;
       if (++words_since_delay_ >= config_.delay_every) {

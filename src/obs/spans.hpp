@@ -2,10 +2,10 @@
 // intermediate form between simulator instrumentation and trace-event
 // export (obs/perfetto.hpp).
 //
-// A lane is (thread name, event name): module activity uses one lane per
-// module ("smache" / "awake"), DRAM transaction lifetimes use a lane per
-// channel ("dram" / "read txn"). Lanes register eagerly at enable time;
-// adding a span when the log is disabled is a no-op behind one branch.
+// A lane is (thread name, event name). The simulator records DRAM read
+// transaction lifetimes, one lane per DRAM model ("dram" / "read txn").
+// Lanes register eagerly at construction; adding a span when the log is
+// disabled is a no-op behind one branch.
 #pragma once
 
 #include <cstdint>

@@ -59,12 +59,6 @@ BaselineTop::BaselineTop(sim::Simulator& sim, const std::string& path,
   SMACHE_REQUIRE_MSG(dram.size_words() >= 2 * words_,
                      "DRAM must hold two grid regions (ping-pong)");
   scratch_.resize(shape.size() * fields_);
-  // Activity gating: the requester stalls only on request-channel space,
-  // the collector only on data arrival / write-channel space — all channel
-  // events we can subscribe to.
-  dram.read_req().set_producer(this);
-  dram.read_data().set_consumer(this);
-  dram.write_req().set_producer(this);
 
   // Build the per-case source table (the baseline's address/mask logic).
   const std::size_t n_cases = cases_.case_count();
@@ -129,7 +123,6 @@ void BaselineTop::eval_run() {
   const std::size_t tuple = shape_.size();
   const std::size_t tuple_words = tuple * fields_;
   const Ctrl& c = ctrl_.q();
-  bool did_work = false;
 
   // -- requester: one read request per tuple element per cycle (an F-word
   //    burst: the whole cell of the addressed grid point) --
@@ -146,7 +139,6 @@ void BaselineTop::eval_run() {
       } else {
         ctrl_.d().req_elem = c.req_elem + 1;
       }
-      did_work = true;
     } else {
       mreg_->count(s_req_bp_);
     }
@@ -165,7 +157,6 @@ void BaselineTop::eval_run() {
     // On the final word the write must be postable in the same cycle.
     if (!last || writer_.ready()) {
       const word_t v = dram_.read_data().pop();
-      did_work = true;
       if (!last) {
         SMACHE_ASSERT(c.col_elem < tuple_.size());
         tuple_[c.col_elem] = v;
@@ -194,16 +185,11 @@ void BaselineTop::eval_run() {
       }
     }
   }
-  if (wb != CellWriter::Step::Idle) did_work = true;
   if (wb == CellWriter::Step::Cell) {
     ctrl_.d().wb_count = c.wb_count + 1;
     if (c.wb_count + 1 == cells_)
       top_.go(c.instance + 1 == steps_ ? Top::Done : Top::Gap);
   }
-
-  // Starved: both FSMs are blocked on channel conditions subscribed to in
-  // the constructor (request/write space frees, data arrives).
-  if (!did_work) sleep();
 }
 
 void BaselineTop::eval() {
@@ -226,16 +212,9 @@ void BaselineTop::eval() {
         d.col_elem = 0;
         d.wb_count = 0;
         top_.go(Top::Run);
-      } else {
-        // Sound lower bound on the first cycle the fence can pass; write
-        // drains also wake us early via the write_req subscription.
-        sleep_for(dram_.min_cycles_to_idle());
       }
       break;
-    case Top::Done:
-      // Terminal: nothing can ever change again.
-      sleep();
-      break;
+    case Top::Done: break;  // terminal: nothing can ever change again
   }
   // The clock edge of the registers only this top reads. The writer stages
   // nothing at F = 1.

@@ -139,9 +139,8 @@ class BaselineTop : public sim::Module {
 
   std::vector<grid::TupleElem> scratch_;
 
-  // -- observability: stalled-eval counters (see SmacheTop for the
-  // episode-vs-cycle counting semantics under gating; the writer counts
-  // its own drain and write-back backpressure) --
+  // -- observability: stall counters, one count per cycle the blocker
+  // held (the writer counts its own drain and write-back backpressure) --
   obs::MetricsRegistry* mreg_;
   obs::MetricsRegistry::Slot s_req_bp_;    // read_req channel full
   obs::MetricsRegistry::Slot s_dram_wait_; // read_data not ready

@@ -39,11 +39,6 @@ KernelPipeline::KernelPipeline(sim::Simulator& sim, const std::string& path,
     sim.ledger().add(path + "/stage" + std::to_string(s),
                      sim::ResKind::RegisterBits, payload_bits + idx_bits + 1);
   }
-  // Activity gating: a push on `in` is the only event that can end
-  // emptiness; a pop on `out` is the only event that can end a full-output
-  // freeze.
-  in_.set_consumer(this);
-  out_.set_producer(this);
   sim.add_module(this);
 }
 
@@ -55,23 +50,18 @@ bool KernelPipeline::empty() const noexcept {
 }
 
 void KernelPipeline::eval() {
-  // Quiescent: no valid tuple in any stage and nothing to accept. Advancing
+  // Empty: no valid tuple in any stage and nothing to accept. Advancing
   // would only shift bubbles into bubbles — the state after such a cycle is
-  // bit-identical to not writing the stages at all, so sleep until the
-  // input channel takes a push.
-  if (occupancy_ == 0 && in_.empty()) {
-    sleep();
-    return;
-  }
+  // bit-identical to not writing the stages at all.
+  if (occupancy_ == 0 && in_.empty()) return;
 
   // All-or-nothing advance: the pipeline only moves when its tail can
-  // retire into the output FIFO (or the tail is a bubble). A freeze is
-  // quiescent too — nothing changes until the output channel takes a pop.
+  // retire into the output FIFO (or the tail is a bubble); otherwise it
+  // holds frozen.
   const Stage& tail = pipe_.back();
   const bool can_retire = !tail.valid || out_.can_push();
   if (!can_retire) {
     mreg_->count(s_out_bp_);
-    sleep();
     return;
   }
 

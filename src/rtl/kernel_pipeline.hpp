@@ -86,10 +86,11 @@ class KernelPipeline : public sim::Module {
   std::vector<Stage> pipe_;
   // Valid tuples currently in the stage registers (behavioural bookkeeping,
   // private to eval): when zero with no input waiting, the pipeline is
-  // quiescent — eval sleeps until a push on the input channel wakes it.
+  // empty and eval returns at once.
   std::uint32_t occupancy_ = 0;
 
-  // -- observability: stalled-eval counter for a full output channel --
+  // -- observability: the cycles the pipeline held frozen on a full output
+  // channel --
   obs::MetricsRegistry* mreg_;
   obs::MetricsRegistry::Slot s_out_bp_;
 };

@@ -78,9 +78,12 @@ SmacheTop::SmacheTop(sim::Simulator& sim, const std::string& path,
   set_obs_name(path);
   SMACHE_REQUIRE_MSG(dram.size_words() >= 2 * words_,
                      "DRAM must hold two grid regions (ping-pong)");
-  if (!static_path_)
+  if (!static_path_) {
+    s_interstage_wait_ = mreg_->slot(path, "/stall/interstage_wait",
+                                     obs::MetricKind::Counter);
     s_interstage_bp_ = mreg_->slot(path, "/stall/interstage_backpressure",
                                    obs::MetricKind::Counter);
+  }
   stages_.reserve(depth);
   for (std::size_t k = 0; k < depth; ++k) {
     const std::string stage_id = "stage" + std::to_string(k);
@@ -104,21 +107,11 @@ SmacheTop::SmacheTop(sim::Simulator& sim, const std::string& path,
       st.input = std::make_unique<sim::Fifo<CellMsg>>(
           sim, path + "/ctrl/" + stage_id + "/input", 4,
           static_cast<std::uint32_t>(kWordBits * fields_));
-      st.input->set_consumer(this);
-      st.input->set_producer(this);
     }
-    // Activity gating: these channels' pushes and pops are the only
-    // external events that can unblock a starved Run/Warmup state (data
-    // arriving, space freeing), so a quiescent controller sleeps on them.
-    st.kernel->in().set_producer(this);
-    st.kernel->out().set_consumer(this);
     stages_.push_back(std::move(st));
   }
   for (std::size_t b = 0; b < plan_.static_buffers().size(); ++b)
     warm_order_.push_back(b);
-  dram_.read_req().set_producer(this);
-  dram_.read_data().set_consumer(this);
-  dram_.write_req().set_producer(this);
   sim.add_module(this);
 }
 
@@ -171,10 +164,7 @@ void SmacheTop::eval() {
     case Top::Warmup: eval_warmup(); break;
     case Top::Run: eval_run(); break;
     case Top::Swap: eval_swap(); break;
-    case Top::Done:
-      // Terminal: nothing can ever change again.
-      sleep();
-      break;
+    case Top::Done: break;  // terminal: nothing can ever change again
   }
   // The clock edge of the state only this top reads. The static banks are
   // settled only on evals that touched them, and the cell port stages
@@ -215,7 +205,6 @@ void SmacheTop::eval_warmup() {
       ctrl_.d().warm_req = true;
     } else {
       mreg_->count(s_req_bp_);
-      sleep();  // wake: a read_req pop frees a request slot
     }
     return;
   }
@@ -232,7 +221,6 @@ void SmacheTop::eval_warmup() {
     }
   } else {
     mreg_->count(s_dram_wait_);
-    sleep();  // wake: a read_data push delivers the next burst word
   }
 }
 
@@ -253,7 +241,7 @@ void SmacheTop::issue_static_reads(std::uint64_t cell) {
 }
 
 template <bool Head>
-bool SmacheTop::eval_stage(std::size_t k) {
+void SmacheTop::eval_stage(std::size_t k) {
   Stage& st = stages_[k];
   StreamBuffer& window = *st.window;
   KernelPipeline& kernel = *st.kernel;
@@ -266,7 +254,6 @@ bool SmacheTop::eval_stage(std::size_t k) {
   const std::uint64_t n = q.shifts;
   const std::uint64_t emit_i = q.emit_next;
   const std::size_t center = center_;
-  bool did_work = false;
 
   // -- FSM-2b: tuple emission (on the static path, only once the centre's
   // static reads were pre-issued) --
@@ -279,7 +266,6 @@ bool SmacheTop::eval_stage(std::size_t k) {
                  case_plans_[case_of_cell_[emit_i]], window, fields_);
       next().emit_next = emit_i + 1;
       emitting = true;
-      did_work = true;
     } else {
       mreg_->count(s_kernel_bp_);
     }
@@ -294,7 +280,6 @@ bool SmacheTop::eval_stage(std::size_t k) {
       c.rdata_center != static_cast<std::int64_t>(emit_eff)) {
     issue_static_reads(emit_eff);
     ctrl_.d().rdata_center = static_cast<std::int64_t>(emit_eff);
-    did_work = true;
   }
 
   // -- FSM-2d: window shift. A shift moves one whole CELL into the
@@ -308,7 +293,6 @@ bool SmacheTop::eval_stage(std::size_t k) {
       const word_t zero_cell[kMaxFields] = {};
       window.shift_cell(zero_cell);
       next().shifts = n + 1;
-      did_work = true;
     } else if constexpr (Head) {
       if (reader_.can_pop()) {
         word_t cell[kMaxFields];
@@ -316,38 +300,37 @@ bool SmacheTop::eval_stage(std::size_t k) {
           window.shift_cell(cell);
           next().shifts = n + 1;
         }
-        did_work = true;
       } else {
         mreg_->count(s_dram_wait_);
       }
     } else if (st.input->can_pop()) {
       window.shift_cell(st.input->pop().w.data());
       next().shifts = n + 1;
-      did_work = true;
     } else {
-      mreg_->count(s_interstage_bp_);
+      mreg_->count(s_interstage_wait_);
     }
   }
 
   // -- hand the kernel's results on: to the next stage, or to DRAM --
-  if (k + 1 == stages_.size()) return write_back(kernel) || did_work;
+  if (k + 1 == stages_.size()) {
+    write_back(kernel);
+    return;
+  }
   sim::Fifo<CellMsg>& next_in = *stages_[k + 1].input;
   if (kernel.out().can_pop()) {
     if (next_in.can_push()) {
       next_in.push_slot().w = kernel.out().pop().values;
-      did_work = true;
     } else {
       mreg_->count(s_interstage_bp_);
     }
   }
-  return did_work;
 }
 
 // FSM-3: write-back + shadow capture. The kernel retires one result CELL
 // per pop and the writer posts it to DRAM one word per cycle; the capture
 // path stores the whole cell on the pop cycle (on-chip banks are
 // word-parallel). wb_count counts fully written cells.
-bool SmacheTop::write_back(KernelPipeline& last) {
+void SmacheTop::write_back(KernelPipeline& last) {
   const Ctrl& c = ctrl_.q();
   CellWriter::Step wb = CellWriter::Step::Idle;
   if (writer_.draining()) {
@@ -371,7 +354,6 @@ bool SmacheTop::write_back(KernelPipeline& last) {
     if (c.wb_count + 1 == cells_)
       top_.go(c.pass + 1 == passes_ ? Top::Done : Top::Swap);
   }
-  return wb != CellWriter::Step::Idle;
 }
 
 // The per-cycle path. flatten inlines every channel and register helper
@@ -382,35 +364,24 @@ bool SmacheTop::write_back(KernelPipeline& last) {
 // one compact body. (A runtime `k == 0` test in place of the
 // template parameter ran ~10% slower on perfbench paper_stream, GCC 12,
 // 4-vCPU x86-64.)
-[[gnu::noinline, gnu::flatten]] bool SmacheTop::eval_later_stages() {
-  bool did_work = false;
-  for (std::size_t k = 1; k < stages_.size(); ++k)
-    did_work |= eval_stage<false>(k);
-  return did_work;
+[[gnu::noinline, gnu::flatten]] void SmacheTop::eval_later_stages() {
+  for (std::size_t k = 1; k < stages_.size(); ++k) eval_stage<false>(k);
 }
 
 [[gnu::flatten]] void SmacheTop::eval_run() {
-  bool did_work = false;
-
   // -- FSM-2a: whole-grid burst request, once per pass --
   if (!ctrl_.q().req_issued) {
     if (dram_.read_req().can_push()) {
       dram_.read_req().push(
           mem::DramReadReq{in_base(), static_cast<std::uint32_t>(words_)});
       ctrl_.d().req_issued = true;
-      did_work = true;
     } else {
       mreg_->count(s_req_bp_);
     }
   }
 
-  did_work |= eval_stage<true>(0);
-  if (stages_.size() > 1) did_work |= eval_later_stages();
-
-  // Starved: every blocker above is an external channel condition (data
-  // not yet delivered, space not yet freed), and each is subscribed to in
-  // the constructor, so the controller can sleep until one moves.
-  if (!did_work) sleep();
+  eval_stage<true>(0);
+  if (stages_.size() > 1) eval_later_stages();
 }
 
 // ---------------------------------------------------------------------------
@@ -418,15 +389,7 @@ bool SmacheTop::write_back(KernelPipeline& last) {
 // ---------------------------------------------------------------------------
 void SmacheTop::eval_swap() {
   // Memory fence: the next pass reads the region we just wrote.
-  if (!dram_.write_req().empty() || !dram_.idle()) {
-    // Exact re-check scheduling: min_cycles_to_idle is a sound lower bound
-    // on the first cycle the fence can pass (same argument as
-    // run_until_done), so sleeping until then never overshoots. Write
-    // drains additionally wake us early through the write_req producer
-    // subscription; the re-check simply goes back to sleep.
-    sleep_for(dram_.min_cycles_to_idle());
-    return;
-  }
+  if (!dram_.write_req().empty() || !dram_.idle()) return;
   const Ctrl& c = ctrl_.q();
   statics_.swap_all();
   statics_touched_ = true;

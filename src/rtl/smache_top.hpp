@@ -154,12 +154,12 @@ class SmacheTop : public sim::Module {
   void eval_warmup();
   void eval_run();
   void eval_swap();
-  /// Stage k's emission, shift and hand-on this cycle; true on progress.
-  /// `Head` is k == 0: counters in Ctrl, cells from the CellReader.
+  /// Stage k's emission, shift and hand-on this cycle. `Head` is k == 0:
+  /// counters in Ctrl, cells from the CellReader.
   template <bool Head>
-  bool eval_stage(std::size_t k);
-  bool eval_later_stages();  // stages 1..depth-1
-  bool write_back(KernelPipeline& last);
+  void eval_stage(std::size_t k);
+  void eval_later_stages();  // stages 1..depth-1
+  void write_back(KernelPipeline& last);
   void issue_static_reads(std::uint64_t cell);
 
   const model::BufferPlan plan_;
@@ -213,18 +213,18 @@ class SmacheTop : public sim::Module {
   // the capture call for every other row).
   std::vector<std::uint8_t> capture_row_;
 
-  // -- observability: stalled-eval counters, summed over stages (the cell
-  // port counts its own staging, drain and write-back backpressure). With
-  // gating on, a fully starved controller sleeps, so a counter ticks once
-  // per stalled eval (one per cycle only while some other FSM keeps the
-  // module awake); the stall DURATION shows up as scheduler asleep time.
+  // -- observability: stall counters, summed over stages (the cell port
+  // counts its own staging, drain and write-back backpressure). Each
+  // counts the cycles its blocker held, once per blocked FSM or stage, so
+  // one cycle can count under more than one reason.
   obs::MetricsRegistry* mreg_;
   obs::MetricsRegistry::Slot s_req_bp_;     // read_req channel full
   obs::MetricsRegistry::Slot s_dram_wait_;  // read_data not ready
   obs::MetricsRegistry::Slot s_kernel_bp_;  // a stage's kernel input full
-  // Fused depths only: a stage's inter-stage channel blocked — the next
-  // stage's input is full (the kernel cannot hand on its result) or this
-  // stage's input is empty (a later stage waits for its predecessor).
+  // Fused depths only: a later stage's own input channel is empty (it
+  // waits for its predecessor), and a stage's kernel cannot hand its
+  // result on because the next stage's input channel is full.
+  obs::MetricsRegistry::Slot s_interstage_wait_ = 0;
   obs::MetricsRegistry::Slot s_interstage_bp_ = 0;
 };
 

@@ -17,9 +17,7 @@
 // of its own, and no owner settles it. A push never writes the slot a
 // same-cycle pop frees (a pop frees no space this cycle), so a front()
 // reference taken before drop() reads the same element for the rest of
-// the cycle. A push wakes the registered consumer and a pop the registered
-// producer at the end of the cycle, whether the module slept before the
-// push/pop or sleeps after it (Simulator::note_channel_move).
+// the cycle.
 //
 // Storage is a fixed-capacity inline ring buffer (sim::RingBuffer): the
 // depth is known at construction, exactly like the synthesised FIFO, so
@@ -38,7 +36,6 @@
 
 #include "common/assert.hpp"
 #include "common/bits.hpp"
-#include "sim/module.hpp"
 #include "sim/simulator.hpp"
 #include "sim/reg.hpp"
 #include "sim/ring_buffer.hpp"
@@ -60,17 +57,10 @@ class Fifo {
     hwm_slot_ = mreg_->slot(path, "/hwm", obs::MetricKind::MaxWatermark);
   }
 
-  // Non-copyable: the wake targets belong to this one channel.
+  // Non-copyable: producer and consumer hold this one channel by
+  // reference.
   Fifo(const Fifo&) = delete;
   Fifo& operator=(const Fifo&) = delete;
-
-  /// Register the module that consumes this channel: a push wakes it at
-  /// the end of the cycle, when the data becomes poppable — also if it
-  /// checks can_pop(), sees nothing, and sleeps in the cycle of the push.
-  void set_consumer(Module* m) noexcept { consumer_ = m; }
-  /// Register the module that produces into this channel: a pop wakes it
-  /// at the end of the cycle, when the freed slot becomes pushable.
-  void set_producer(Module* m) noexcept { producer_ = m; }
 
   std::size_t capacity() const noexcept { return items_.capacity(); }
   /// Occupancy at the start of the cycle.
@@ -104,7 +94,6 @@ class Fifo {
     if (mreg_->enabled())
       mreg_->watermark(hwm_slot_, static_cast<std::uint64_t>(size()) + 1);
     push_at_ = sim_->now();
-    sim_->note_channel_move(consumer_);
     return items_.append();
   }
 
@@ -142,7 +131,6 @@ class Fifo {
   void pop_front() {
     items_.pop_front();
     pop_at_ = sim_->now();
-    sim_->note_channel_move(producer_);
   }
 
   static constexpr std::uint64_t kNever = ~std::uint64_t{0};
@@ -151,8 +139,6 @@ class Fifo {
   Simulator* sim_;
   std::uint64_t push_at_ = kNever;  // cycle of the latest push
   std::uint64_t pop_at_ = kNever;   // cycle of the latest pop
-  Module* consumer_ = nullptr;
-  Module* producer_ = nullptr;
   obs::MetricsRegistry* mreg_ = nullptr;  // owned by the Simulator
   obs::MetricsRegistry::Slot hwm_slot_ = 0;
 };

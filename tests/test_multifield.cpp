@@ -321,53 +321,57 @@ TEST(MultiFieldPins, EveryTopAtF2AndF3IsPinned) {
       {"smache", "hotspot", false, 1117, 0,
        {2, 1024, 1024, 0, 0, 0, 0, 1024},
        0x6047f26a6e4c0599ull, 839, 2048,
-       "gather_staging_cycles=512 stall/dram_wait=6 "
+       "gather_staging_cycles=512 stall/dram_wait=8 "
        "stall/kernel_backpressure=20 stall/request_backpressure=0 "
        "stall/writeback_backpressure=0 writeback_drain_cycles=512"},
       {"smache", "hotspot", true, 2139, 0,
        {2, 1024, 1024, 0, 0, 0, 0, 1024},
        0x6047f26a6e4c0599ull, 839, 2048,
-       "gather_staging_cycles=512 stall/dram_wait=6 "
+       "gather_staging_cycles=512 stall/dram_wait=8 "
        "stall/kernel_backpressure=1012 stall/request_backpressure=0 "
        "stall/writeback_backpressure=1022 writeback_drain_cycles=512"},
       {"smache", "fdtd", false, 1665, 0,
        {2, 1536, 1536, 0, 0, 0, 0, 1536},
        0x02e3016f6e10b25cull, 1255, 3072,
-       "gather_staging_cycles=1024 stall/dram_wait=6 "
+       "gather_staging_cycles=1024 stall/dram_wait=8 "
        "stall/kernel_backpressure=40 stall/request_backpressure=0 "
        "stall/writeback_backpressure=0 writeback_drain_cycles=1024"},
       {"smache", "fdtd", true, 3199, 0,
        {2, 1536, 1536, 0, 0, 0, 0, 1536},
        0x02e3016f6e10b25cull, 1255, 3072,
-       "gather_staging_cycles=1024 stall/dram_wait=6 "
+       "gather_staging_cycles=1024 stall/dram_wait=8 "
        "stall/kernel_backpressure=1528 stall/request_backpressure=0 "
        "stall/writeback_backpressure=1534 writeback_drain_cycles=1024"},
       {"cascade", "hotspot", false, 599, 86,
        {1, 512, 512, 0, 0, 0, 0, 512},
        0x6047f26a6e4c0599ull, 1812, 4096,
        "ctrl/stage1/input/hwm=4 gather_staging_cycles=256 "
-       "stall/dram_wait=3 stall/interstage_backpressure=286 "
+       "stall/dram_wait=4 stall/interstage_backpressure=3 "
+       "stall/interstage_wait=284 "
        "stall/kernel_backpressure=27 stall/request_backpressure=0 "
        "stall/writeback_backpressure=0 writeback_drain_cycles=256"},
       {"cascade", "hotspot", true, 1110, 86,
        {1, 512, 512, 0, 0, 0, 0, 512},
        0x6047f26a6e4c0599ull, 1812, 4096,
        "ctrl/stage1/input/hwm=4 gather_staging_cycles=256 "
-       "stall/dram_wait=3 stall/interstage_backpressure=729 "
+       "stall/dram_wait=4 stall/interstage_backpressure=656 "
+       "stall/interstage_wait=74 "
        "stall/kernel_backpressure=1167 stall/request_backpressure=0 "
        "stall/writeback_backpressure=511 writeback_drain_cycles=256"},
       {"cascade", "fdtd", false, 890, 121,
        {1, 768, 768, 0, 0, 0, 0, 768},
        0x02e3016f6e10b25cull, 2708, 6144,
        "ctrl/stage1/input/hwm=4 gather_staging_cycles=512 "
-       "stall/dram_wait=3 stall/interstage_backpressure=547 "
+       "stall/dram_wait=4 stall/interstage_backpressure=8 "
+       "stall/interstage_wait=540 "
        "stall/kernel_backpressure=54 stall/request_backpressure=0 "
        "stall/writeback_backpressure=0 writeback_drain_cycles=512"},
       {"cascade", "fdtd", true, 1657, 121,
        {1, 768, 768, 0, 0, 0, 0, 768},
        0x02e3016f6e10b25cull, 2708, 6144,
        "ctrl/stage1/input/hwm=4 gather_staging_cycles=512 "
-       "stall/dram_wait=3 stall/interstage_backpressure=1206 "
+       "stall/dram_wait=4 stall/interstage_backpressure=1085 "
+       "stall/interstage_wait=122 "
        "stall/kernel_backpressure=1867 stall/request_backpressure=0 "
        "stall/writeback_backpressure=767 writeback_drain_cycles=512"},
       {"baseline", "hotspot", false, 6153, 0,

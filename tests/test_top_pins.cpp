@@ -88,8 +88,9 @@ TEST(TopPins, FusedDepthsArePinned) {
        "cascade/ctrl/stage1/input/hwm=2 "
        "cascade/ctrl/stage2/input/hwm=2 "
        "cascade/ctrl/stage3/input/hwm=2 "
-       "cascade/gather_staging_cycles=0 cascade/stall/dram_wait=6 "
-       "cascade/stall/interstage_backpressure=246 "
+       "cascade/gather_staging_cycles=0 cascade/stall/dram_wait=8 "
+       "cascade/stall/interstage_backpressure=0 "
+       "cascade/stall/interstage_wait=252 "
        "cascade/stall/kernel_backpressure=0 "
        "cascade/stall/request_backpressure=0 "
        "cascade/stall/writeback_backpressure=0 "
@@ -103,34 +104,23 @@ TEST(TopPins, FusedDepthsArePinned) {
        "kernel/stage2/out/hwm=2 "
        "kernel/stage2/stall/out_backpressure=0 kernel/stage3/in/hwm=2 "
        "kernel/stage3/out/hwm=2 "
-       "kernel/stage3/stall/out_backpressure=0 sched/cycles/eval=401 "
-       "sched/cycles/fastforward=0 sched/cycles/idle=0 "
-       "sched/cycles/total=401 sched/module/cascade/asleep=2 "
-       "sched/module/cascade/awake=399 "
-       "sched/module/cascade/fastforward=0 sched/module/dram/asleep=1 "
-       "sched/module/dram/awake=400 sched/module/dram/fastforward=0 "
-       "sched/module/kernel/stage0/asleep=150 "
-       "sched/module/kernel/stage0/awake=251 "
-       "sched/module/kernel/stage0/fastforward=0 "
-       "sched/module/kernel/stage1/asleep=150 "
-       "sched/module/kernel/stage1/awake=251 "
-       "sched/module/kernel/stage1/fastforward=0 "
-       "sched/module/kernel/stage2/asleep=150 "
-       "sched/module/kernel/stage2/awake=251 "
-       "sched/module/kernel/stage2/fastforward=0 "
-       "sched/module/kernel/stage3/asleep=150 "
-       "sched/module/kernel/stage3/awake=251 "
-       "sched/module/kernel/stage3/fastforward=0 "
-       "sched/wakes/channel=24 sched/wakes/explicit=0 "
-       "sched/wakes/timer=0"},
+       "kernel/stage3/stall/out_backpressure=0 "
+       "sched/cycles/total=401 "
+       "sched/module/cascade/awake=401 "
+       "sched/module/dram/awake=401 "
+       "sched/module/kernel/stage0/awake=401 "
+       "sched/module/kernel/stage1/awake=401 "
+       "sched/module/kernel/stage2/awake=401 "
+       "sched/module/kernel/stage3/awake=401"},
       {"cascade d3 vn4/island wq1", 3, 12, 10, 1, "vn4", "island", "average",
        "random", "functional", true, 6,
        595, 57, {2, 240, 240, 0, 0, 0, 0, 240},
        0x24082a6d3cf057b7ull, 1399, 1536, 6,
        "cascade/ctrl/stage1/input/hwm=4 "
        "cascade/ctrl/stage2/input/hwm=4 "
-       "cascade/gather_staging_cycles=0 cascade/stall/dram_wait=6 "
-       "cascade/stall/interstage_backpressure=446 "
+       "cascade/gather_staging_cycles=0 cascade/stall/dram_wait=8 "
+       "cascade/stall/interstage_backpressure=326 "
+       "cascade/stall/interstage_wait=124 "
        "cascade/stall/kernel_backpressure=522 "
        "cascade/stall/request_backpressure=0 "
        "cascade/stall/writeback_backpressure=238 "
@@ -143,29 +133,20 @@ TEST(TopPins, FusedDepthsArePinned) {
        "kernel/stage1/stall/out_backpressure=184 "
        "kernel/stage2/in/hwm=2 kernel/stage2/out/hwm=2 "
        "kernel/stage2/stall/out_backpressure=234 "
-       "sched/cycles/eval=595 sched/cycles/fastforward=0 "
-       "sched/cycles/idle=0 sched/cycles/total=595 "
-       "sched/module/cascade/asleep=2 sched/module/cascade/awake=593 "
-       "sched/module/cascade/fastforward=0 sched/module/dram/asleep=1 "
-       "sched/module/dram/awake=594 sched/module/dram/fastforward=0 "
-       "sched/module/kernel/stage0/asleep=208 "
-       "sched/module/kernel/stage0/awake=387 "
-       "sched/module/kernel/stage0/fastforward=0 "
-       "sched/module/kernel/stage1/asleep=158 "
-       "sched/module/kernel/stage1/awake=437 "
-       "sched/module/kernel/stage1/fastforward=0 "
-       "sched/module/kernel/stage2/asleep=108 "
-       "sched/module/kernel/stage2/awake=487 "
-       "sched/module/kernel/stage2/fastforward=0 "
-       "sched/wakes/channel=830 sched/wakes/explicit=0 "
-       "sched/wakes/timer=0"},
+       "sched/cycles/total=595 "
+       "sched/module/cascade/awake=595 "
+       "sched/module/dram/awake=595 "
+       "sched/module/kernel/stage0/awake=595 "
+       "sched/module/kernel/stage1/awake=595 "
+       "sched/module/kernel/stage2/awake=595"},
       {"cascade d2 star7 jacobi ddr", 2, 12, 12, 6, "star7", "open", "jacobi",
        "jacobi-init", "ddr", false, 4,
        2378, 324, {2, 1728, 1728, 1, 2, 0, 0, 1728},
        0xf265fd5e12902100ull, 1323, 18432, 8,
        "cascade/ctrl/stage1/input/hwm=2 "
-       "cascade/gather_staging_cycles=0 cascade/stall/dram_wait=14 "
-       "cascade/stall/interstage_backpressure=318 "
+       "cascade/gather_staging_cycles=0 cascade/stall/dram_wait=41 "
+       "cascade/stall/interstage_backpressure=0 "
+       "cascade/stall/interstage_wait=345 "
        "cascade/stall/kernel_backpressure=0 "
        "cascade/stall/request_backpressure=0 "
        "cascade/stall/writeback_backpressure=0 "
@@ -175,20 +156,12 @@ TEST(TopPins, FusedDepthsArePinned) {
        "kernel/stage0/in/hwm=2 kernel/stage0/out/hwm=2 "
        "kernel/stage0/stall/out_backpressure=0 kernel/stage1/in/hwm=2 "
        "kernel/stage1/out/hwm=2 "
-       "kernel/stage1/stall/out_backpressure=0 sched/cycles/eval=2378 "
-       "sched/cycles/fastforward=0 sched/cycles/idle=0 "
-       "sched/cycles/total=2378 sched/module/cascade/asleep=27 "
-       "sched/module/cascade/awake=2351 "
-       "sched/module/cascade/fastforward=0 sched/module/dram/asleep=1 "
-       "sched/module/dram/awake=2377 sched/module/dram/fastforward=0 "
-       "sched/module/kernel/stage0/asleep=634 "
-       "sched/module/kernel/stage0/awake=1744 "
-       "sched/module/kernel/stage0/fastforward=0 "
-       "sched/module/kernel/stage1/asleep=639 "
-       "sched/module/kernel/stage1/awake=1739 "
-       "sched/module/kernel/stage1/fastforward=0 "
-       "sched/wakes/channel=19 sched/wakes/explicit=0 "
-       "sched/wakes/timer=0"}
+       "kernel/stage1/stall/out_backpressure=0 "
+       "sched/cycles/total=2378 "
+       "sched/module/cascade/awake=2378 "
+       "sched/module/dram/awake=2378 "
+       "sched/module/kernel/stage0/awake=2378 "
+       "sched/module/kernel/stage1/awake=2378"}
   };
   for (const ShapePin& pin : pins) expect_pinned(pin);
 }
@@ -203,16 +176,12 @@ TEST(TopPins, StaticPathIsPinned) {
        "dram/read_data/hwm=2 dram/read_req/hwm=1 "
        "dram/stall/backpressure=0 dram/stall/row_wait=0 "
        "dram/write_req/hwm=2 kernel/in/hwm=2 kernel/out/hwm=2 "
-       "kernel/stall/out_backpressure=0 sched/cycles/eval=465 "
-       "sched/cycles/fastforward=0 sched/cycles/idle=0 "
-       "sched/cycles/total=465 sched/module/dram/asleep=3 "
-       "sched/module/dram/awake=462 sched/module/dram/fastforward=0 "
-       "sched/module/kernel/asleep=86 sched/module/kernel/awake=379 "
-       "sched/module/kernel/fastforward=0 "
-       "sched/module/smache/asleep=5 sched/module/smache/awake=460 "
-       "sched/module/smache/fastforward=0 sched/wakes/channel=26 "
-       "sched/wakes/explicit=0 sched/wakes/timer=0 "
-       "smache/gather_staging_cycles=0 smache/stall/dram_wait=13 "
+       "kernel/stall/out_backpressure=0 "
+       "sched/cycles/total=465 "
+       "sched/module/dram/awake=465 "
+       "sched/module/kernel/awake=465 "
+       "sched/module/smache/awake=465 "
+       "smache/gather_staging_cycles=0 smache/stall/dram_wait=18 "
        "smache/stall/kernel_backpressure=0 "
        "smache/stall/request_backpressure=0 "
        "smache/stall/writeback_backpressure=0 "
@@ -224,16 +193,12 @@ TEST(TopPins, StaticPathIsPinned) {
        "dram/read_data/hwm=8 dram/read_req/hwm=1 "
        "dram/stall/backpressure=446 dram/stall/row_wait=0 "
        "dram/write_req/hwm=1 kernel/in/hwm=2 kernel/out/hwm=2 "
-       "kernel/stall/out_backpressure=552 sched/cycles/eval=1284 "
-       "sched/cycles/fastforward=0 sched/cycles/idle=0 "
-       "sched/cycles/total=1284 sched/module/dram/asleep=2 "
-       "sched/module/dram/awake=1282 sched/module/dram/fastforward=0 "
-       "sched/module/kernel/asleep=421 sched/module/kernel/awake=863 "
-       "sched/module/kernel/fastforward=0 "
-       "sched/module/smache/asleep=4 sched/module/smache/awake=1280 "
-       "sched/module/smache/fastforward=0 sched/wakes/channel=1216 "
-       "sched/wakes/explicit=0 sched/wakes/timer=0 "
-       "smache/gather_staging_cycles=288 smache/stall/dram_wait=10 "
+       "kernel/stall/out_backpressure=836 "
+       "sched/cycles/total=1284 "
+       "sched/module/dram/awake=1284 "
+       "sched/module/kernel/awake=1284 "
+       "sched/module/smache/awake=1284 "
+       "smache/gather_staging_cycles=288 smache/stall/dram_wait=14 "
        "smache/stall/kernel_backpressure=556 "
        "smache/stall/request_backpressure=0 "
        "smache/stall/writeback_backpressure=574 "
