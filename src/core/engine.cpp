@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
+#include <mutex>
 #include <sstream>
+#include <unordered_map>
 
 #include "common/assert.hpp"
 #include "common/parallel.hpp"
@@ -93,6 +96,92 @@ void run_to_completion(sim::Simulator& sim, const Top& top,
       },
       max_cycles);
 }
+
+/// The process-wide table of immutable plans behind every run path. A plan
+/// is a pure function of what Engine::plan_only hands the planner, so one
+/// BufferPlan serves every run, cascade, elaboration and tile pass of its
+/// design; sweep workers and tile threads share it read-only.
+class PlanTable {
+ public:
+  std::shared_ptr<const model::BufferPlan> get(const Engine& engine,
+                                               const ProblemSpec& problem) {
+    const EngineOptions& o = engine.options();
+    const std::uint64_t hash = design_hash(problem, o);
+    {
+      const std::lock_guard lock(mu_);
+      if (auto plan = find(hash, problem, o)) return plan;
+    }
+    // Planned outside the lock. A rejection throws from here and leaves
+    // nothing behind, so a rejected design fails the same way every time.
+    auto plan =
+        std::make_shared<const model::BufferPlan>(engine.plan_only(problem));
+    const std::lock_guard lock(mu_);
+    // A racing worker may have published an equal plan meanwhile.
+    if (auto published = find(hash, problem, o)) return published;
+    if (entries_.size() >= Engine::kPlanTableCapacity) entries_.clear();
+    entries_.emplace(hash, Entry{problem.height, problem.width,
+                                 problem.depth, problem.shape, problem.bc,
+                                 o.stream_impl, o.bram_segment_threshold,
+                                 plan});
+    return plan;
+  }
+
+ private:
+  /// The key fields, compared by value on every lookup: equal hashes
+  /// never share a plan on their own.
+  struct Entry {
+    std::size_t height;
+    std::size_t width;
+    std::size_t depth;
+    grid::StencilShape shape;
+    grid::BoundarySpec bc;
+    model::StreamImpl stream_impl;
+    std::size_t bram_segment_threshold;
+    std::shared_ptr<const model::BufferPlan> plan;
+  };
+
+  static std::uint64_t design_hash(const ProblemSpec& p,
+                                   const EngineOptions& o) {
+    std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a, a word at a time
+    const auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 0x100000001b3ull; };
+    mix(p.height);
+    mix(p.width);
+    mix(p.depth);
+    mix(std::hash<std::string>{}(p.shape.name()));
+    for (const grid::Offset2& off : p.shape.offsets()) {
+      mix(static_cast<std::uint64_t>(off.dr));
+      mix(static_cast<std::uint64_t>(off.dc));
+      mix(static_cast<std::uint64_t>(off.ds));
+    }
+    for (const grid::AxisBoundary& axis : {p.bc.rows, p.bc.cols, p.bc.slices}) {
+      mix(static_cast<std::uint64_t>(axis.kind));
+      mix(axis.constant);
+    }
+    mix(static_cast<std::uint64_t>(o.stream_impl));
+    mix(o.bram_segment_threshold);
+    return h;
+  }
+
+  /// Caller holds mu_.
+  std::shared_ptr<const model::BufferPlan> find(std::uint64_t hash,
+                                                const ProblemSpec& p,
+                                                const EngineOptions& o) const {
+    const auto [first, last] = entries_.equal_range(hash);
+    for (auto it = first; it != last; ++it) {
+      const Entry& e = it->second;
+      if (e.height == p.height && e.width == p.width && e.depth == p.depth &&
+          e.shape.name() == p.shape.name() &&
+          e.shape.offsets() == p.shape.offsets() && e.bc == p.bc &&
+          e.stream_impl == o.stream_impl &&
+          e.bram_segment_threshold == o.bram_segment_threshold)
+        return e.plan;
+    }
+    return nullptr;
+  }
+
+  std::mutex mu_;
+  std::unordered_multimap<std::uint64_t, Entry> entries_;
+};
 
 }  // namespace
 
@@ -210,15 +299,17 @@ RunResult Engine::execute(const ProblemSpec& problem,
             .case_count());
     simulate(top, "baseline");
   } else {
-    model::BufferPlan plan = plan_only(problem);
+    static PlanTable plans;
+    // Held across simulate(): the top keeps the plan by reference.
+    std::shared_ptr<const model::BufferPlan> plan = plans.get(*this, problem);
     result.estimate = cost::estimate_memory(
-        plan, static_cast<std::uint32_t>(kWordBits * layout.fields));
-    result.timing = cost::estimate_smache_timing(plan);
+        *plan, static_cast<std::uint32_t>(kWordBits * layout.fields));
+    result.timing = cost::estimate_smache_timing(*plan);
     // One stream buffer per fused step.
     result.estimate->r_stream *= depth;
     result.estimate->b_stream *= depth;
     const char* root = fused ? "cascade" : "smache";
-    rtl::SmacheTop top(sim, root, plan, problem.kernel, dram, problem.steps,
+    rtl::SmacheTop top(sim, root, *plan, problem.kernel, dram, problem.steps,
                        depth);
     simulate(top, root);
     result.plan = std::move(plan);

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -113,7 +114,11 @@ struct RunResult {
   cost::MemoryActual resources;
   /// Analytic estimate (Smache only; meaningless for the baseline).
   std::optional<cost::MemoryEstimate> estimate;
-  std::optional<model::BufferPlan> plan;  // Smache only
+  /// The buffer plan the design elaborated; null for the baseline. It is
+  /// immutable and shared by every run of the same design in this process
+  /// (see Engine::kPlanTableCapacity). A tiled run reports tile 0's
+  /// sub-plan.
+  std::shared_ptr<const model::BufferPlan> plan;
 
   // Timing-model outputs and the paper's derived Figure-2 metrics.
   cost::DesignTiming timing;
@@ -157,6 +162,13 @@ class Engine {
  public:
   explicit Engine(EngineOptions options = {}) : options_(options) {}
 
+  /// Distinct designs held by the process-wide plan table that every run
+  /// shares. A design is everything plan_only() hands the planner: the
+  /// grid's extents, the stencil's name and offsets, all three boundary
+  /// axes, stream_impl and bram_segment_threshold. Each one is planned
+  /// once, on the first run that needs it; a full table starts over.
+  static constexpr std::size_t kPlanTableCapacity = 256;
+
   const EngineOptions& options() const noexcept { return options_; }
 
   /// Run `problem` starting from `initial` (row-major words). The returned
@@ -164,7 +176,8 @@ class Engine {
   RunResult run(const ProblemSpec& problem,
                 const grid::Grid<word_t>& initial) const;
 
-  /// Plan without simulating (resource studies over huge grids).
+  /// Plan without simulating (resource studies over huge grids). Always
+  /// runs the planner: only the run paths share the plan table.
   model::BufferPlan plan_only(const ProblemSpec& problem) const;
 
   /// Temporal-blocking extension (the "multiple time steps in one pass"

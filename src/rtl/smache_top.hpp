@@ -72,7 +72,9 @@ class SmacheTop : public sim::Module {
  public:
   /// `steps` = number of work-instances, computed `depth` per DRAM pass
   /// (steps % depth == 0). Region 0 of `dram` must hold the initial grid;
-  /// after completion the result is in region (passes % 2).
+  /// after completion the result is in region (passes % 2). The top keeps
+  /// `plan` by reference, so the plan must outlive it (Engine holds its
+  /// shared plan for the whole run).
   SmacheTop(sim::Simulator& sim, const std::string& path,
             const model::BufferPlan& plan, const KernelSpec& kernel_spec,
             mem::DramModel& dram, std::size_t steps, std::size_t depth = 1);
@@ -162,7 +164,7 @@ class SmacheTop : public sim::Module {
   void write_back(KernelPipeline& last);
   void issue_static_reads(std::uint64_t cell);
 
-  const model::BufferPlan plan_;
+  const model::BufferPlan& plan_;
   mem::DramModel& dram_;
   std::size_t passes_;
   std::size_t cells_;   // grid height * width * depth

@@ -25,8 +25,8 @@ grid::Grid<word_t> iota_grid(std::size_t h, std::size_t w) {
 struct Bench {
   sim::Simulator sim;
   std::unique_ptr<mem::DramModel> dram;
+  model::BufferPlan plan;  // before `top`, which keeps it by reference
   std::unique_ptr<rtl::SmacheTop> top;
-  model::BufferPlan plan;
 
   Bench(std::size_t h, std::size_t w, std::size_t steps,
         const grid::Grid<word_t>& init)

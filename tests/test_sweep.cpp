@@ -569,7 +569,7 @@ TEST(SweepExecutor, MatchesADirectEngineRun) {
   // the drop is unambiguous (an empty optional, not a placeholder grid a
   // consumer could mistake for a real 1x1 result).
   EXPECT_FALSE(results[0].run.output.has_value());
-  EXPECT_FALSE(results[0].run.plan.has_value());
+  EXPECT_EQ(results[0].run.plan, nullptr);
   ExecutorOptions keep;
   keep.keep_outputs = true;
   const auto kept = SweepExecutor(keep).run(spec);
@@ -694,6 +694,36 @@ TEST(SweepExecutor, TiledSweepIsBitIdenticalToSerial) {
     }
   }
   EXPECT_TRUE(saw_tiled_periodic_depth);
+}
+
+TEST(SweepExecutor, ThreadedRunsShareEachDesignsPlanExactly) {
+  // 48 scenarios over 4 designs (2 stencils x 2 grids), plus the tiled
+  // runs' sub-designs: sweep workers and tile threads look up, plan and
+  // read the engine's shared plans concurrently. The threaded run goes
+  // first so that its workers race on the first plan of each design.
+  SweepSpec spec;
+  spec.grids = {{12, 12}, {16, 10}};
+  spec.steps = {2};
+  spec.tiles = {{1, 1}, {2, 2}};
+  spec.stencils = {"vn4", "moore9"};
+  spec.boundaries = {"paper"};
+  spec.inputs = {"random", "gradient"};
+  spec.drams = {"functional", "ddr", "stall"};
+  ExecutorOptions threaded_opts;
+  threaded_opts.threads = 4;
+  threaded_opts.tile_threads = 2;
+  threaded_opts.keep_outputs = true;
+  const auto threaded = SweepExecutor(threaded_opts).run(spec);
+  const auto serial = SweepExecutor({.threads = 1}).run(spec);
+  ASSERT_EQ(threaded.size(), 48u);
+  EXPECT_EQ(SweepExecutor::digest(serial), SweepExecutor::digest(threaded));
+  for (const auto& r : threaded) {
+    ASSERT_TRUE(r.ok) << r.scenario.label << ": " << r.error;
+    const Scenario& s = r.scenario;
+    const auto init = make_input(s.input, s.problem.height, s.problem.width,
+                                 s.problem.depth, s.seed);
+    EXPECT_EQ(r.run.output, reference_run(s.problem, init)) << s.label;
+  }
 }
 
 TEST(SweepExecutor, DepthVerifiesAgainstTheReferenceAcrossFusedPasses) {
