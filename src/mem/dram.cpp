@@ -38,7 +38,9 @@ void DramModel::charge_row(std::uint64_t addr) {
   }
 }
 
-void DramModel::eval() {
+// Starts on a 64-byte boundary, like the other per-cycle bodies: see
+// SmacheTop::eval (rtl/smache_top.cpp) for the measurement.
+[[gnu::aligned(64)]] void DramModel::eval() {
   // Inert: nothing queued, nothing in flight, no stall burst draining. A
   // full eval would only rotate bubbles round the transit line (no word is
   // in flight), which is unobservable, so freezing the line while inert

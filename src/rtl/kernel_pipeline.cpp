@@ -49,7 +49,9 @@ bool KernelPipeline::empty() const noexcept {
   return true;
 }
 
-void KernelPipeline::eval() {
+// Starts on a 64-byte boundary, like the other per-cycle bodies: see
+// SmacheTop::eval for the measurement.
+[[gnu::aligned(64)]] void KernelPipeline::eval() {
   // Empty: no valid tuple in any stage and nothing to accept. Advancing
   // would only shift bubbles into bubbles — the state after such a cycle is
   // bit-identical to not writing the stages at all.

@@ -40,9 +40,11 @@ std::string emit_json(const std::vector<ScenarioResult>& results,
 std::string emit_csv(const std::vector<ScenarioResult>& results,
                      const EmitOptions& options = {});
 
-/// Shortest decimal string that round-trips to exactly the same double
-/// (strtod(fmt_double(v)) == v for every finite v) — committed sweep
-/// reports lose no bits. Exposed so tests can property-check the claim.
+/// The first of printf's %.15g, %.16g and %.17g (C locale) that parses
+/// back to exactly the same double, so committed sweep reports lose no
+/// bits (strtod(fmt_double(v)) == v for every finite v). It is not the
+/// shortest such text: fmt_double(5e-324) is "4.94065645841247e-324".
+/// Exposed so tests can check it against that rule.
 std::string fmt_double(double v);
 
 }  // namespace smache::sweep

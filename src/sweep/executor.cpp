@@ -77,9 +77,10 @@ class GroupGrids {
   Slot golden_;
 };
 
-void run_one(const Scenario& scenario, const ExecutorOptions& options,
-             GroupGrids& grids, ScenarioResult& out) {
-  out.scenario = scenario;
+/// Run out.scenario and fill the rest of `out`.
+void run_one(const ExecutorOptions& options, GroupGrids& grids,
+             ScenarioResult& out) {
+  const Scenario& scenario = out.scenario;
   const auto t0 = std::chrono::steady_clock::now();
   try {
     const Engine engine(scenario.engine);
@@ -332,9 +333,16 @@ std::vector<ScenarioResult> SweepExecutor::run(
   parallel_for_index(order.size(), options_.threads, [&](std::size_t j) {
     const auto [i, g] = order[j];
     ScenarioResult& out = results[i];
+    // The store key is taken before the run options edit the scenario;
+    // each index is handed out once, so its scenario moves into its result.
+    const std::uint64_t key =
+        options_.store != nullptr
+            ? ResultStore::scenario_key(scenarios[i],
+                                        options_.verify_reference)
+            : 0;
+    out.scenario = std::move(scenarios[i]);
     if (options_.stop != nullptr &&
         options_.stop->load(std::memory_order_relaxed)) {
-      out.scenario = scenarios[i];
       out.skipped = true;
       out.ok = false;
       out.error = "skipped: stop requested before execution";
@@ -342,7 +350,7 @@ std::vector<ScenarioResult> SweepExecutor::run(
       note_progress(out);
       return;
     }
-    Scenario scenario = scenarios[i];
+    Scenario& scenario = out.scenario;
     if (options_.fault_plan != nullptr)
       options_.fault_plan->apply(scenario.label, &scenario.engine.dram);
     if (options_.wall_timeout_ms != 0)
@@ -353,7 +361,7 @@ std::vector<ScenarioResult> SweepExecutor::run(
     if (options_.trace && scenario.tiles.height == 1 &&
         scenario.tiles.width == 1 && scenario.tiles.depth == 1)
       scenario.engine.trace = true;
-    run_one(scenario, options_, open_group(g), out);
+    run_one(options_, open_group(g), out);
     close_group(g);
     note_progress(out);
     // Journal the finished result — deterministic failures included (they
@@ -361,10 +369,7 @@ std::vector<ScenarioResult> SweepExecutor::run(
     // Wall-timeout abandons are the one exclusion: their counters depend
     // on machine load, so caching one would poison every later report.
     if (options_.store != nullptr && !out.run.timed_out) {
-      put_with_retry(*options_.store,
-                     to_stored(out, ResultStore::scenario_key(
-                                        scenarios[i],
-                                        options_.verify_reference)),
+      put_with_retry(*options_.store, to_stored(out, key),
                      options_.store_retry_attempts,
                      options_.store_retry_backoff_ms);
     }

@@ -1,6 +1,7 @@
 #include "sweep/faults.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace smache::sweep {
 
@@ -87,8 +88,32 @@ std::string FaultyFileIo::read_file(const std::string& path) {
   return data;
 }
 
-void FaultyFileIo::append_file(const std::string& path,
-                               std::string_view bytes) {
+/// An inner handle whose appends go through the owning FaultyFileIo's
+/// script.
+class FaultyFileIo::Handle final : public FileIo::AppendHandle {
+ public:
+  Handle(FaultyFileIo& io, std::string path,
+         std::unique_ptr<AppendHandle> inner)
+      : io_(io), path_(std::move(path)), inner_(std::move(inner)) {}
+
+  void append(std::string_view bytes) override {
+    io_.append_through(*inner_, path_, bytes);
+  }
+
+ private:
+  FaultyFileIo& io_;
+  std::string path_;
+  std::unique_ptr<AppendHandle> inner_;
+};
+
+std::unique_ptr<FileIo::AppendHandle> FaultyFileIo::open_append(
+    const std::string& path) {
+  return std::make_unique<Handle>(*this, path, inner_.open_append(path));
+}
+
+void FaultyFileIo::append_through(AppendHandle& inner,
+                                  const std::string& path,
+                                  std::string_view bytes) {
   const std::uint64_t index = append_count_++;
   if (match(IoFaultKind::FailAppend, index))
     throw store_io_error("injected transient append failure on '" + path +
@@ -96,7 +121,7 @@ void FaultyFileIo::append_file(const std::string& path,
   if (const IoFault* fault = match(IoFaultKind::TornAppend, index)) {
     const std::size_t cut = std::min<std::size_t>(
         bytes.size(), static_cast<std::size_t>(fault->offset));
-    inner_.append_file(path, bytes.substr(0, cut));
+    inner.append(bytes.substr(0, cut));
     throw store_io_error("injected torn append on '" + path + "' after " +
                          std::to_string(cut) + " of " +
                          std::to_string(bytes.size()) + " bytes");
@@ -106,10 +131,10 @@ void FaultyFileIo::append_file(const std::string& path,
     if (fault->offset < corrupted.size())
       corrupted[static_cast<std::size_t>(fault->offset)] ^=
           static_cast<char>(fault->mask);
-    inner_.append_file(path, corrupted);
+    inner.append(corrupted);
     return;
   }
-  inner_.append_file(path, bytes);
+  inner.append(bytes);
 }
 
 void FaultyFileIo::write_file_atomic(const std::string& path,

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -65,13 +66,13 @@ struct FaultPlan {
 };
 
 enum class IoFaultKind {
-  /// append_file writes only the first `offset` bytes, then throws
+  /// The append writes only the first `offset` bytes, then throws
   /// store_io_error — a SIGKILL mid-append, as seen by the next open.
   TornAppend,
-  /// append_file throws before writing anything — a transient full/busy
+  /// The append throws before writing anything — a transient full/busy
   /// filesystem; the natural target of the executor's bounded retry.
   FailAppend,
-  /// append_file XORs `mask` into byte `offset` of the record before
+  /// The append XORs `mask` into byte `offset` of the record before
   /// writing it — silent corruption that only the checksum can catch.
   BitFlipAppend,
   /// read_file returns only the first `offset` bytes of the file — a
@@ -81,7 +82,8 @@ enum class IoFaultKind {
 
 /// One scripted IO fault, addressed by the per-kind operation index (the
 /// Nth append for append-kind faults, the Nth read for ShortRead — both
-/// 0-based, counted per FaultyFileIo instance).
+/// 0-based, counted per FaultyFileIo instance across every handle it
+/// opened).
 struct IoFault {
   IoFaultKind kind = IoFaultKind::FailAppend;
   std::uint64_t op_index = 0;
@@ -90,9 +92,11 @@ struct IoFault {
 };
 
 /// FileIo shim executing a fault script against an inner implementation.
-/// Operations not named in the script pass straight through. Not
-/// thread-safe by itself — ResultStore serializes all IO under its mutex,
-/// which is the only way the store ever drives a FileIo.
+/// Operations not named in the script pass straight through. The handles
+/// open_append() returns wrap the inner handles and refer back to this
+/// object, which must outlive them. Not thread-safe by itself —
+/// ResultStore serializes all IO under its mutex, which is the only way
+/// the store ever drives a FileIo.
 class FaultyFileIo final : public FileIo {
  public:
   explicit FaultyFileIo(FileIo& inner) : inner_(inner) {}
@@ -107,13 +111,18 @@ class FaultyFileIo final : public FileIo {
   std::vector<std::string> list_files(const std::string& dir,
                                       std::string_view suffix) override;
   std::string read_file(const std::string& path) override;
-  void append_file(const std::string& path, std::string_view bytes) override;
+  std::unique_ptr<AppendHandle> open_append(const std::string& path) override;
   void write_file_atomic(const std::string& path,
                          std::string_view bytes) override;
   void remove_file(const std::string& path) override;
 
  private:
+  class Handle;
+
   const IoFault* match(IoFaultKind kind, std::uint64_t index) const;
+  /// One append through `inner`, with this instance's next append fault.
+  void append_through(AppendHandle& inner, const std::string& path,
+                      std::string_view bytes);
 
   FileIo& inner_;
   std::vector<IoFault> faults_;

@@ -139,14 +139,36 @@ std::string FileIo::read_file(const std::string& path) {
   return out;
 }
 
-void FileIo::append_file(const std::string& path, std::string_view bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::app);
-  if (!out)
-    io_fail("open for append", path,
-            std::make_error_code(std::errc::permission_denied));
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.flush();
-  if (!out) io_fail("append to", path, std::make_error_code(std::errc::io_error));
+namespace {
+
+/// The default AppendHandle: one std::ofstream, open for the handle's
+/// life and flushed after every record.
+class StreamAppendHandle final : public FileIo::AppendHandle {
+ public:
+  explicit StreamAppendHandle(const std::string& path)
+      : path_(path), out_(path, std::ios::binary | std::ios::app) {
+    if (!out_)
+      io_fail("open for append", path_,
+              std::make_error_code(std::errc::permission_denied));
+  }
+
+  void append(std::string_view bytes) override {
+    out_.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    out_.flush();
+    if (!out_)
+      io_fail("append to", path_, std::make_error_code(std::errc::io_error));
+  }
+
+ private:
+  std::string path_;
+  std::ofstream out_;
+};
+
+}  // namespace
+
+std::unique_ptr<FileIo::AppendHandle> FileIo::open_append(
+    const std::string& path) {
+  return std::make_unique<StreamAppendHandle>(path);
 }
 
 void FileIo::write_file_atomic(const std::string& path,
@@ -391,27 +413,28 @@ void ResultStore::note_retry() {
 }
 
 void ResultStore::rotate_locked() {
+  active_.reset();
   const std::string path = segment_path(next_segment_++);
   std::string header(kMagic, 8);
   put_scalar(header, kFormatVersion);
   io().write_file_atomic(path, header);
   segment_files_.push_back(path);
-  active_path_ = path;
+  active_ = io().open_append(path);
   active_bytes_ = header.size();
 }
 
 void ResultStore::put(const StoredResult& record) {
   const std::string bytes = frame(record);
   const std::lock_guard<std::mutex> lock(mu_);
-  if (active_path_.empty() || active_bytes_ >= options_.max_segment_bytes)
+  if (!active_ || active_bytes_ >= options_.max_segment_bytes)
     rotate_locked();
   try {
-    io().append_file(active_path_, bytes);
+    active_->append(bytes);
   } catch (...) {
     // The failed append may have left a torn tail; abandon this segment so
     // a retry starts a fresh one instead of appending after garbage (which
     // recovery would rightly refuse to read past).
-    active_path_.clear();
+    active_.reset();
     throw;
   }
   active_bytes_ += bytes.size();
@@ -429,11 +452,11 @@ void ResultStore::compact() {
   }
   const std::string path = segment_path(next_segment_++);
   io().write_file_atomic(path, buffer);
+  // The compacted segment is sealed; the next put() rotates a new one.
+  active_.reset();
+  active_bytes_ = 0;
   for (const std::string& old : segment_files_) io().remove_file(old);
   segment_files_ = {path};
-  // The compacted segment is sealed; the next put() rotates a new one.
-  active_path_.clear();
-  active_bytes_ = 0;
 }
 
 }  // namespace smache::sweep

@@ -19,16 +19,18 @@
 // Durability model. The store is an append-only journal of length-prefixed
 // records, each carrying its own FNV-1a checksum, split across numbered
 // segment files. Segments are created empty (header only) via atomic
-// tmp+rename, then appended to with an fflush after every record — so a
-// SIGKILL can lose at most the in-flight tail record, never a committed
-// one, and a half-written tail is detected by its length/checksum and
-// dropped at the next open. A checksum failure ANYWHERE in a segment
-// abandons the rest of that segment (framing after a corrupt record is
-// untrustworthy) but not other segments; every dropped record is counted
-// and logged, and the affected scenarios simply re-execute. Within and
-// across segments, the last record for a key wins, so re-putting a key is
-// an ordinary append. compact() rewrites the live set into one fresh
-// segment (atomic tmp+rename again) and deletes the old ones.
+// tmp+rename, then appended to through one handle that stays open while
+// the segment is active and is flushed after every record — so every
+// record reaches the operating system before put() returns, a SIGKILL can
+// lose at most the in-flight tail record, never a committed one, and a
+// half-written tail is detected by its length/checksum and dropped at the
+// next open. A checksum failure ANYWHERE in a segment abandons the rest of
+// that segment (framing after a corrupt record is untrustworthy) but not
+// other segments; every dropped record is counted and logged, and the
+// affected scenarios simply re-execute. Within and across segments, the
+// last record for a key wins, so re-putting a key is an ordinary append.
+// compact() rewrites the live set into one fresh segment (atomic
+// tmp+rename again) and deletes the old ones.
 //
 // All file IO goes through the FileIo seam so the fault-injection harness
 // (sweep/faults.hpp) can script torn writes, short reads and bit flips at
@@ -40,6 +42,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -60,12 +63,26 @@ class store_io_error : public std::runtime_error {
 };
 
 /// File-IO seam used by ResultStore. The default implementation
-/// (real_file_io()) wraps std::filesystem and stdio with error_code
+/// (real_file_io()) wraps std::filesystem and file streams with error_code
 /// overloads; FaultyFileIo (sweep/faults.hpp) shims it to inject torn
 /// writes, short reads, bit flips and transient append failures. Every
 /// method throws store_io_error on failure.
 class FileIo {
  public:
+  /// An open file that records are appended to: the journal's active
+  /// segment, open for as long as it is active.
+  class AppendHandle {
+   public:
+    AppendHandle() = default;
+    AppendHandle(const AppendHandle&) = delete;
+    AppendHandle& operator=(const AppendHandle&) = delete;
+    virtual ~AppendHandle() = default;
+    /// Append `bytes` (one record) and flush them, so a process kill after
+    /// return cannot lose the record to library buffering. Throws
+    /// store_io_error on failure.
+    virtual void append(std::string_view bytes) = 0;
+  };
+
   virtual ~FileIo() = default;
   /// mkdir -p with error_code; rejects an existing non-directory path.
   virtual void create_directories(const std::string& dir);
@@ -76,9 +93,9 @@ class FileIo {
                                               std::string_view suffix);
   /// Whole-file read (binary).
   virtual std::string read_file(const std::string& path);
-  /// Append `bytes` to `path` (creating it if missing) and flush, so a
-  /// process kill after return cannot lose the record to libc buffering.
-  virtual void append_file(const std::string& path, std::string_view bytes);
+  /// Open `path` for appending, creating it if missing. The default
+  /// handle keeps one file stream open until it is destroyed.
+  virtual std::unique_ptr<AppendHandle> open_append(const std::string& path);
   /// Write `bytes` to `path` atomically: write `path` + ".tmp", flush,
   /// rename over `path`. Readers never observe a half-written file.
   virtual void write_file_atomic(const std::string& path,
@@ -206,15 +223,17 @@ class ResultStore {
   /// Copy-out lookup (thread-safe against concurrent put()).
   bool find(std::uint64_t key, StoredResult* out) const;
 
-  /// Append one record (journal first, then index). Thread-safe. Throws
-  /// store_io_error on IO failure; the active segment is abandoned after a
-  /// failed append, so a retry lands in a fresh segment rather than after
-  /// a possibly-torn tail.
+  /// Append one record (journal first, then index) through the active
+  /// segment's handle; the record is flushed before put() returns.
+  /// Thread-safe. Throws store_io_error on IO failure; the active segment
+  /// and its handle are abandoned after a failed append, so a retry lands
+  /// in a fresh segment rather than after a possibly-torn tail.
   void put(const StoredResult& record);
 
   /// Rewrite the live record set into one fresh segment (atomic
-  /// tmp+rename) and delete every older segment. Record order inside the
-  /// compacted segment is key order — deterministic for tests.
+  /// tmp+rename), close the active segment's handle and delete every
+  /// older segment. Record order inside the compacted segment is key
+  /// order — deterministic for tests.
   void compact();
 
   /// The content address of a scenario's deterministic outcome (see the
@@ -234,7 +253,8 @@ class ResultStore {
   FileIo& io() const noexcept { return *io_; }
   std::string segment_path(std::uint64_t index) const;
   void load_segment(const std::string& path);
-  /// Start a fresh active segment (header via atomic tmp+rename).
+  /// Start a fresh active segment (header via atomic tmp+rename) and open
+  /// its append handle.
   void rotate_locked();
 
   std::string dir_;
@@ -246,7 +266,9 @@ class ResultStore {
   std::map<std::uint64_t, StoredResult> index_;
   std::vector<std::string> segment_files_;  // loaded + created, for compact
   std::uint64_t next_segment_ = 1;
-  std::string active_path_;  // empty until the first put() after open
+  // The active segment's handle: null until the first put() after open,
+  // after a failed append and after compact().
+  std::unique_ptr<FileIo::AppendHandle> active_;
   std::uint64_t active_bytes_ = 0;
   std::uint64_t dropped_ = 0;
 };

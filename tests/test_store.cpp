@@ -2,7 +2,8 @@
 // sweeps:
 //   * record encoding round-trips exactly and rejects malformed payloads;
 //   * the journal survives reopen, rotation and compaction with
-//     last-writer-wins semantics;
+//     last-writer-wins semantics, and a second open reads every record
+//     while the writer is still alive;
 //   * every corruption mode (torn tail, flipped byte, foreign header,
 //     short read) is detected by the length/checksum framing, dropped,
 //     counted — and never aborts recovery of the intact prefix or other
@@ -179,6 +180,30 @@ TEST(Store, RotatesSegmentsAndLoadsThemAll) {
   ResultStore reopened(dir.path());
   EXPECT_EQ(reopened.size(), 5u);
   EXPECT_EQ(reopened.dropped_records(), 0u);
+}
+
+TEST(Store, ASecondOpenFindsEveryRecordWhileTheWriterIsAlive) {
+  // put() returns only once its record has reached the operating system,
+  // so a reader that opens the directory while the writer still holds its
+  // segment open finds every record put so far. Small segments make the
+  // writer rotate several times on the way.
+  const ScratchDir dir("live_reader");
+  StoreOptions small;
+  small.max_segment_bytes = 512;
+  ResultStore writer(dir.path(), small);
+  for (std::uint64_t k = 0; k < 12; ++k) {
+    writer.put(sample_record(k));
+    const ResultStore reader(dir.path());
+    EXPECT_EQ(reader.size(), k + 1);
+    EXPECT_EQ(reader.dropped_records(), 0u);
+    for (std::uint64_t j = 0; j <= k; ++j) {
+      StoredResult out;
+      ASSERT_TRUE(reader.find(j, &out))
+          << "record " << j << " missing after " << k + 1 << " puts";
+      EXPECT_EQ(out, sample_record(j));
+    }
+  }
+  EXPECT_GE(segments(dir.path()).size(), 4u);
 }
 
 TEST(Store, CompactionMergesToOneSegmentPreservingContents) {

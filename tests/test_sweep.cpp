@@ -1151,8 +1151,8 @@ TEST(HashGrid, TransposedShapesHashDifferently) {
 }
 
 TEST(SweepEmit, DoublesRoundTripExactly) {
-  // Committed sweep JSON must lose no bits: fmt_double emits the shortest
-  // decimal that parses back to the identical double.
+  // Committed sweep JSON must lose no bits: fmt_double emits the first of
+  // %.15g, %.16g and %.17g that parses back to the identical double.
   const double cases[] = {0.0,
                           1.0,
                           0.1,
